@@ -254,20 +254,12 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
     return make_assemblage(recs, d_b, validate_states=False)
 
 
-def _state_variance(state: np.ndarray, h: np.ndarray) -> float:
-    return variance(state, h)
-
-
-def _state_qfi(state: np.ndarray, h: np.ndarray) -> float:
-    return qfi(state, h)
-
-
 def setting_average_variance(rec: SettingRecord, h: np.ndarray) -> float:
-    return float(sum(p * _state_variance(st, h) for p, st in zip(rec.probabilities, rec.states)))
+    return float(sum(p * variance(st, h) for p, st in zip(rec.probabilities, rec.states)))
 
 
 def setting_average_qfi(rec: SettingRecord, h: np.ndarray) -> float:
-    return float(sum(p * _state_qfi(st, h) for p, st in zip(rec.probabilities, rec.states)))
+    return float(sum(p * qfi(st, h) for p, st in zip(rec.probabilities, rec.states)))
 
 
 def conditional_variance(assemblage: Assemblage, h) -> tuple[float, str]:

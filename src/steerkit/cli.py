@@ -192,7 +192,7 @@ def _cmd_witness(args):
         asm = loaded
         quantifiers = {}
         if args.quantify:
-            quantifiers["s_lower_bound"] = s_max_lower_bound(asm, seed=args.seed)
+            quantifiers["s_lower_bound"] = s_max_lower_bound(asm)
     elif isinstance(loaded, BipartitePureState):
         asm = assemblage_from_pure_state(
             loaded,
@@ -286,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quantify",
         action="store_true",
-        help="add the sampled lower bound on the maximal violation (assemblage input)",
+        help="add the exact maximal violation over the supplied settings (assemblage input)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the quantifier sampling")
     add_common(p)
     p.set_defaults(func=_cmd_witness)
 

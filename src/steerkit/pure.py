@@ -13,11 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .assemblage import Assemblage, assemblage_from_pure_state, conditional_qfi, conditional_variance
-from .linalg import NumericError, ValidationError, dagger, require_hermitian
-from .metrology import POVM, make_povm, qfi, variance
+from .assemblage import (
+    Assemblage,
+    SettingRecord,
+    assemblage_from_pure_state,
+    conditional_qfi,
+    conditional_variance,
+)
+from .linalg import TOL, NumericError, ValidationError, dagger, require_hermitian
+from .metrology import POVM, make_povm
 from .states import BipartitePureState
 
 _SUPPORT_CUT = 1e-12
@@ -58,18 +63,13 @@ def schmidt(state: BipartitePureState) -> SchmidtDecomposition:
     return SchmidtDecomposition(coefficients=s**2, basis_a=basis_a, basis_b=basis_b)
 
 
-def _completion(columns: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal completion of the given orthonormal columns to C^dim."""
-    r = columns.shape[1]
-    if r == dim:
-        return np.zeros((dim, 0), dtype=complex)
-    null = scipy.linalg.null_space(dagger(columns))
-    if null.shape[1] != dim - r:
-        raise NumericError("failed to complete the measurement basis")  # pragma: no cover
-    return null
+def _completion(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal completion of the given orthonormal columns to their whole space."""
+    _, _, vh = np.linalg.svd(dagger(columns))
+    return dagger(vh[columns.shape[1] :])
 
 
-def _steering_basis(sd: SchmidtDecomposition, bob_vectors: np.ndarray, d_a: int) -> np.ndarray:
+def _steering_basis(sd: SchmidtDecomposition, bob_vectors: np.ndarray) -> np.ndarray:
     """Alice basis steering into the given Bob-side support vectors.
 
     ``bob_vectors`` holds coordinates in the Schmidt basis (support only) as
@@ -78,7 +78,7 @@ def _steering_basis(sd: SchmidtDecomposition, bob_vectors: np.ndarray, d_a: int)
     r = bob_vectors.shape[1]
     a_support = sd.basis_a[:, :r]
     alice = a_support @ bob_vectors.conj()
-    rest = _completion(alice, d_a)
+    rest = _completion(alice)
     return np.concatenate([alice, rest], axis=1)
 
 
@@ -104,7 +104,7 @@ def optimal_povm_qfi(state: BipartitePureState, h) -> POVM:
     k = np.arange(r)
     fourier = np.exp(2j * np.pi * np.outer(k, k) / r) / math.sqrt(r)
     combined = x_vecs @ fourier
-    basis = _steering_basis(sd, combined, state.d_a)
+    basis = _steering_basis(sd, combined)
     return make_povm(
         [np.outer(basis[:, i], basis[:, i].conj()) for i in range(state.d_a)],
         labels=[str(i) for i in range(state.d_a)],
@@ -131,7 +131,7 @@ def optimal_povm_var(state: BipartitePureState, h) -> POVM:
     weights = 2.0 * np.sqrt(np.outer(p, p)) / pair
     y_op = weights * h_tilde
     _, y_vecs = np.linalg.eigh((y_op + dagger(y_op)) / 2.0)
-    basis = _steering_basis(sd, y_vecs, state.d_a)
+    basis = _steering_basis(sd, y_vecs)
     return make_povm(
         [np.outer(basis[:, i], basis[:, i].conj()) for i in range(state.d_a)],
         labels=[str(i) for i in range(state.d_a)],
@@ -228,65 +228,47 @@ def assemblage_delta(assemblage: Assemblage, h) -> float:
     return cq / 4.0 - cv
 
 
-def s_max_lower_bound(
-    assemblage: Assemblage,
-    n_samples: int = 2048,
-    n_sweeps: int = 200,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> float:
-    """Sampled-and-refined lower bound on the maximal witness violation.
+def _setting_matrices(rec: SettingRecord, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged QFI matrix Q_X and covariance matrix V_X of one setting.
 
-    Samples unit-norm traceless generators (standard-normal coefficients on a
-    Gell-Mann basis, normalized), keeps the best, then runs a gradient-free
-    coordinate search over the generator coefficients.  The result is a lower
-    bound only; the exact optimum is known in closed form just for pure states.
+    For H = sum_a c_a G_a the setting's averaged QFI is c^T Q_X c and its
+    averaged variance c^T V_X c.  Each conditional state is diagonalised once;
+    Q_X uses the spectral weights 2 (l_i - l_j)^2 / (l_i + l_j) of ``qfi`` with
+    the same cut at ``TOL.qfi_eigen``.
     """
-    basis = gellmann_basis(assemblage.d_b)
-    n_gen = len(basis.generators)
-    rng = np.random.default_rng(seed)
+    n = len(gens)
+    lam, vecs = np.linalg.eigh(np.stack([rec.state_matrix(i) for i in range(rec.n_outcomes)]))
+    rot = vecs.conj().swapaxes(1, 2)[:, None] @ gens[None] @ vecs[:, None]  # (outcome, generator, i, j)
+    pair = lam[:, :, None] + lam[:, None, :]
+    diff = lam[:, :, None] - lam[:, None, :]
+    w = np.divide(2.0 * diff**2, pair, out=np.zeros_like(pair), where=pair > TOL.qfi_eigen)
+    p = rec.probabilities[:, None, None]
+    flat = rot.transpose(1, 0, 2, 3).reshape(n, -1)
 
-    def objective(coeffs: np.ndarray) -> float:
-        return assemblage_delta(assemblage, basis.combine(coeffs))
+    def form(weights: np.ndarray) -> np.ndarray:  # sum_k,ij weights_kij Re(G_a,ij conj(G_b,ij))
+        return ((flat * weights.reshape(-1)) @ dagger(flat)).real
 
-    best_val = -np.inf
-    best = None
-    for _ in range(int(n_samples)):
-        v = rng.standard_normal(n_gen)
-        v /= np.linalg.norm(v)
-        val = objective(v)
-        if val > best_val:
-            best_val, best = val, v
-    for _ in range(int(n_sweeps)):
-        improved = 0.0
-        for axis in range(n_gen):
-            direction = np.zeros(n_gen)
-            direction[axis] = 1.0
-            overlap = best[axis]
-            tangent = direction - overlap * best
-            norm = np.linalg.norm(tangent)
-            if norm < 1e-12:
-                continue
-            tangent /= norm
-            angles = np.linspace(-np.pi / 2, np.pi / 2, 17)[1:-1]
-            for _ in range(12):  # bisection-style shrink around the best angle
-                cands = []
-                for a in angles:
-                    cand = math.cos(a) * best + math.sin(a) * tangent
-                    cands.append(cand / np.linalg.norm(cand))
-                vals = [objective(cand) for cand in cands]
-                top = int(np.argmax(vals))
-                if vals[top] > best_val:
-                    improved += vals[top] - best_val
-                    best_val = vals[top]
-                    best = cands[top]
-                span = angles[-1] - angles[0]
-                angles = np.linspace(-span / 8, span / 8, 9)
-                if span < 1e-10:
-                    break
-        if improved < tol:
-            break
-    return max(best_val, 0.0)
+    means = np.einsum("ki,kaii->ka", lam, rot).real
+    second = form(np.broadcast_to(p * lam[:, :, None], pair.shape))
+    return form(p * w), second - (rec.probabilities[:, None] * means).T @ means
+
+
+def s_max_lower_bound(assemblage: Assemblage) -> float:
+    """Maximal witness violation over unit traceless generators, exact for the supplied settings.
+
+    With Q_X the averaged QFI matrix and V_X the averaged covariance matrix of
+    setting X on the Hilbert-Schmidt orthonormal Gell-Mann basis,
+
+        max_{|c| = 1} Delta(sum_a c_a G_a) = max_{X,Y} lambda_max(Q_X/4 - V_Y),
+
+    returned clamped at zero.  It is a lower bound on the violation maximised
+    over all of Alice's measurements; on a pure state whose settings include
+    the optimal ones it reaches s_max = lambda_max[diag(p) - p p^T].
+    """
+    gens = np.stack(gellmann_basis(assemblage.d_b).generators)
+    mats = [_setting_matrices(rec, gens) for rec in assemblage.settings]
+    best = max(float(np.linalg.eigvalsh(q / 4.0 - v)[-1]) for q, _ in mats for _, v in mats)
+    return max(best, 0.0)
 
 
 def multi_generator_sum(assemblage: Assemblage, basis: GeneratorBasis) -> tuple[float, float]:

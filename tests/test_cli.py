@@ -152,9 +152,9 @@ class TestOutputs:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        # Bell assemblage with sz/sx settings: the sampled bound stays below
-        # the pure-state optimum 1/2 but detects a solid violation
-        assert 0.0 < doc["s_lower_bound"] <= 0.5 + 1e-9
+        # Bell assemblage with sz/sx settings: the exact maximum over these
+        # settings reaches the pure-state optimum 1/2
+        assert abs(doc["s_lower_bound"] - 0.5) <= 1e-9
 
     def test_witness_rejects_bare_density(self, tmp_path):
         from steerkit.serialize import density_to_json

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from steerkit.assemblage import assemblage_from_pure_state, conditional_qfi, conditional_variance
+from steerkit.assemblage import (
+    assemblage_from_pure_state,
+    assemblage_from_state,
+    conditional_qfi,
+    conditional_variance,
+    setting_average_qfi,
+    setting_average_variance,
+)
 from steerkit.linalg import ValidationError, dagger, outer
-from steerkit.metrology import qfi, variance
+from steerkit.metrology import povm_from_basis, qfi, variance
 from steerkit.pure import (
     ancilla_invariance_check,
     assemblage_delta,
@@ -25,7 +32,7 @@ from steerkit.pure import (
 )
 from steerkit.states import BipartitePureState, ghz_state, hybrid_cat
 
-from conftest import SZ, random_hermitian, random_pure
+from conftest import SZ, random_density, random_hermitian, random_pure, random_unitary
 
 
 def pure_state_with_spectrum(p, d_a=None):
@@ -295,6 +302,25 @@ class TestQuantifiers:
             s_max_pure([0.5, 0.2])
 
 
+def random_mixed_assemblage(rng, n_settings, d_a=3, d_b=3):
+    """Projective settings of Alice on a noisy random entangled state."""
+    psi = random_pure(rng, d_a * d_b)
+    rho = 0.8 * np.outer(psi, psi.conj()) + 0.2 * random_density(rng, d_a * d_b)
+    povms = [povm_from_basis(random_unitary(rng, d_a)) for _ in range(n_settings)]
+    return assemblage_from_state(rho, (d_a, d_b), povms)
+
+
+def polarized_matrices(rec, gens):
+    """Q_X and V_X of one setting by polarizing its averaged QFI and variance."""
+    n = len(gens)
+    q, v = np.zeros((n, n)), np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            for out, f in ((q, setting_average_qfi), (v, setting_average_variance)):
+                out[a, b] = (f(rec, gens[a] + gens[b]) - f(rec, gens[a]) - f(rec, gens[b])) / 2.0
+    return q, v
+
+
 class TestSMaxLowerBound:
     def test_bell_assemblage_reaches_closed_form(self):
         state = ghz_state(2)
@@ -303,17 +329,33 @@ class TestSMaxLowerBound:
         settings = [(f"g{i}", optimal_povm_qfi(state, g)) for i, g in enumerate(basis.generators)]
         settings += [(f"v{i}", optimal_povm_var(state, g)) for i, g in enumerate(basis.generators)]
         asm = assemblage_from_pure_state(state, settings)
-        val = s_max_lower_bound(asm, n_samples=300, n_sweeps=40, seed=3)
+        val = s_max_lower_bound(asm)
         closed = s_max_pure([0.5, 0.5])
         assert val <= closed + 1e-9
-        assert closed - val <= 1e-6
+        assert closed - val <= 1e-12
+
+    @pytest.mark.parametrize("seed, n_settings", [(30, 2), (35, 3)])
+    def test_mixed_qutrit_optimum_dominates_and_is_attained(self, seed, n_settings):
+        rng = np.random.default_rng(seed)
+        asm = random_mixed_assemblage(rng, n_settings)
+        val = s_max_lower_bound(asm)
+        basis = gellmann_basis(3)
+        for _ in range(2000):
+            c = rng.standard_normal(len(basis.generators))
+            assert assemblage_delta(asm, basis.combine(c / np.linalg.norm(c))) <= val + 1e-12
+        mats = [polarized_matrices(rec, basis.generators) for rec in asm.settings]
+        spectra = [np.linalg.eigh(q / 4.0 - v) for q, _ in mats for _, v in mats]
+        top, vecs = max(spectra, key=lambda spec: spec[0][-1])
+        assert val > 0.0
+        assert abs(top[-1] - val) <= 1e-10
+        assert abs(assemblage_delta(asm, basis.combine(vecs[:, -1])) - val) <= 1e-10
 
     def test_lhs_assemblage_stays_at_zero(self, rng):
         from test_assemblage import random_lhs_model
         from steerkit.assemblage import assemblage_from_lhs
 
         asm = assemblage_from_lhs(random_lhs_model(rng, d_b=2))
-        assert s_max_lower_bound(asm, n_samples=100, n_sweeps=10, seed=1) == 0.0
+        assert s_max_lower_bound(asm) == 0.0
 
 
 class TestMultiGenerator:
