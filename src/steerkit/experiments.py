@@ -2,15 +2,12 @@
 
 Each ``*_rows`` function returns (header, rows) where every row pairs computed
 quantities with the analytic reference value when one exists (empty cell
-otherwise).  Parameter grids are evaluated in parallel (capped by the
-STEERKIT_THREADS environment variable) and emitted in grid order.
+otherwise).  Parameter grids are evaluated in grid order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +20,7 @@ from .assemblage import (
     conditional_variance,
     steering_witness,
 )
-from .linalg import TOL, ValidationError
+from .linalg import TOL, NumericError, ValidationError
 from .metrology import POVM, povm_from_basis, qfi, variance
 from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure
 from .sampling import epr_product_check
@@ -41,25 +38,9 @@ from .states import (
 )
 
 
-def thread_count() -> int:
-    raw = os.environ.get("STEERKIT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(os.cpu_count() or 1, 8)
-    return n
-
-
 def parallel_map(fn, items):
-    """Order-preserving map over grid points, capped by STEERKIT_THREADS."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving map over grid points."""
+    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +250,6 @@ def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuant
         raise ValidationError(f"invalid Dicke parameters k={k}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"splitting ratio must be in [0, 1], got {p}")
-    var_z = 0.0
     cond_qfi_x = 0.0
     m1_red = m2_red = 0.0
     qfi_red = 0.0
@@ -285,8 +265,6 @@ def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuant
         k_a_vals = np.arange(n_a + 1)
         jz_vals = (k - k_a_vals) - n_b / 2.0  # J_z^B eigenvalue of |k - k_A>_{N_B}
 
-        # J_z^A readout: conditional states are J_z^B eigenstates.
-        var_z += float(np.dot(weights, jz_vals**2 - jz_vals * jz_vals))
         m1_red += float(np.dot(weights, jz_vals))
         m2_red += float(np.dot(weights, jz_vals**2))
 
@@ -305,17 +283,20 @@ def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuant
         m1 = (w * w).T @ (weights * jz_vals)
         m2 = (w * w).T @ (weights * jz_vals**2)
         live = probs_x > TOL.prob_floor
-        cond_qfi_x += float(np.sum(4.0 * (m2[live] - m1[live] ** 2 / probs_x[live])))
+        spread = m2[live] - m1[live] ** 2 / probs_x[live]  # p(a) Var[J_z^B] per outcome
+        worst = float(spread.min(initial=0.0))
+        if worst < -1e-12:
+            raise NumericError(f"conditional variance came out {worst:.3e}; inputs are inconsistent")
+        cond_qfi_x += 4.0 * float(np.sum(np.maximum(spread, 0.0)))
     if abs(total_weight - 1.0) > 1e-9:
         raise ValidationError(f"sector weights sum to {total_weight}, not 1")
     mean_jz = m1_red
     var_red = m2_red - m1_red**2
-    cond_var = min(var_z, cond_qfi_x / 4.0)  # J_x conditionals are pure: avg var = F/4
     return PartitionQuantities(
         n=n,
         k=k,
         p=float(p),
-        cond_var=cond_var,
+        cond_var=0.0,  # the J_z^A readout leaves J_z^B eigenstates
         cond_qfi=cond_qfi_x,
         var_reduced=var_red,
         var_reduced_ref=n / 4.0 * p * (1.0 - p),

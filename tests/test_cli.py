@@ -231,6 +231,12 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         assert out.exists()
 
+    def test_runtime_imports_numpy_only(self):
+        probe = "import sys, steerkit.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestFlagAliases:
     def test_ghz_noise_p_alias(self, tmp_path):

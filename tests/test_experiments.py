@@ -16,8 +16,8 @@ from steerkit.experiments import (
     multigen_rows,
     quantify_rows,
     split_dicke_partition_quantities,
+    split_dicke_partition_rows,
     split_dicke_rows,
-    thread_count,
 )
 from steerkit.metrology import povm_from_basis
 from steerkit.states import (
@@ -76,6 +76,14 @@ class TestPartitionBlocks:
     def test_twin_fock_saturates_reduced_bound(self):
         q = split_dicke_partition_quantities(10, 5, 0.5)
         assert abs(q.cond_qfi - 4.0 * q.var_reduced) < 1e-9
+
+    def test_rows_never_negative(self):
+        # k = 0 and k = n are product states, whose conditional QFI is 0 up to roundoff
+        header, rows = split_dicke_partition_rows(10, 0.5, range(0, 11))
+        for row in rows:
+            q = dict(zip(header, row))
+            assert q["cond_qfi"] >= 0.0
+            assert q["cond_var"] >= 0.0
 
 
 class TestRowTables:
@@ -144,17 +152,3 @@ class TestRowTables:
             assert bound == 4.0 * (d - 1)
             assert violated == 1
 
-
-class TestThreading:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("STEERKIT_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("STEERKIT_THREADS", "not-a-number")
-        assert thread_count() >= 1
-
-    def test_parallel_rows_match_serial(self, monkeypatch):
-        monkeypatch.setenv("STEERKIT_THREADS", "4")
-        _, parallel = ghz_rows([1, 2, 3, 4])
-        monkeypatch.setenv("STEERKIT_THREADS", "1")
-        _, serial = ghz_rows([1, 2, 3, 4])
-        assert parallel == serial

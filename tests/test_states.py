@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from steerkit.linalg import ValidationError, partial_trace, unitary_from_generator
+from steerkit.linalg import ValidationError, partial_trace
 from steerkit.metrology import qfi, variance
 from steerkit.states import (
     BipartitePureState,
@@ -52,6 +54,31 @@ class TestSpinOps:
                 assert qfi(rho, ops.jz) <= n * n + 1e-9
 
 
+def dense_rotation(n, phi):
+    """exp(-i phi Jy) by scipy's dense matrix exponential."""
+    return expm(-1j * phi * spin_ops(n).jy)
+
+
+def quarter_turn_matrix(n):
+    """<k| exp(-i pi/2 Jy) |k'> from the finite factorial sum, in exact integers.
+
+    At the quarter turn every term carries the same trig factor 2^(-n/2), so
+    the alternating sum is an integer; only the final square root rounds.
+    """
+    binom = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    fact = [math.factorial(j) for j in range(n + 1)]
+    out = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        for kp in range(n + 1):
+            acc = sum(
+                (-1) ** t * binom[kp][t] * binom[n - kp][k - kp + t]
+                for t in range(max(0, kp - k), min(kp, n - k) + 1)
+            )
+            square = Fraction(acc * acc * fact[k] * fact[n - k], fact[kp] * fact[n - kp] * 2**n)
+            out[k, kp] = (-1) ** (k - kp) * math.copysign(math.sqrt(square), acc)
+    return out
+
+
 class TestWignerOverlap:
     def test_zero_angle_identity(self):
         for n in (1, 5, 40):
@@ -63,10 +90,15 @@ class TestWignerOverlap:
         assert np.allclose(np.abs(w), [[c, c], [c, c]], atol=1e-12)
         assert np.allclose(w, w.T * np.array([[1, -1], [-1, 1]]))
 
+    @pytest.mark.parametrize("n", [6, 120, 200])
+    def test_quarter_turn_matches_exact_integer_sum(self, n):
+        w = wigner_rotation_matrix(n, math.pi / 2)
+        assert np.max(np.abs(w - quarter_turn_matrix(n))) < 1e-12
+        assert np.max(np.abs(w @ w.T - np.eye(n + 1))) < 1e-12
+
     def test_against_dense_exponential(self):
-        # oracle: exp(-i phi Jy) from the eigendecomposition route
         for n, phi in [(1, math.pi / 2), (6, math.pi / 2), (25, 1.3), (40, math.pi / 2), (40, 2.1), (64, 0.7)]:
-            u = unitary_from_generator(spin_ops(n).jy, phi)
+            u = dense_rotation(n, phi)
             w = np.asarray(wigner_rotation_matrix(n, phi))
             assert np.max(np.abs(u.imag)) < 1e-10
             assert np.max(np.abs(w - u.real)) < 1e-9
@@ -78,10 +110,9 @@ class TestWignerOverlap:
         assert np.max(np.abs(gram - np.eye(n + 1))) < 1e-9
 
     def test_near_quarter_turn_outside_snap_window(self):
-        # just outside the trig snap: worst-case cancellation goes through the
-        # adaptive-precision branch
+        # a hair off the quarter turn, where the factorial sum cancels worst
         n, phi = 60, math.pi / 2 + 1e-6
-        u = unitary_from_generator(spin_ops(n).jy, phi)
+        u = dense_rotation(n, phi)
         w = np.asarray(wigner_rotation_matrix(n, phi))
         assert np.max(np.abs(w - u.real)) < 1e-9
         assert np.max(np.abs(w @ w.T - np.eye(n + 1))) < 1e-9
@@ -90,10 +121,9 @@ class TestWignerOverlap:
         "phi", [math.pi, 2 * math.pi, 3 * math.pi / 2, -math.pi / 2, 5 * math.pi / 2]
     )
     def test_axis_and_negative_trig_angles(self, phi):
-        # the snapped integer/axis branches must keep their sign bookkeeping
-        # straight for every quarter-turn quadrant
+        # signs stay right in every quarter-turn quadrant, including the axes
         n = 41
-        u = unitary_from_generator(spin_ops(n).jy, phi)
+        u = dense_rotation(n, phi)
         w = np.asarray(wigner_rotation_matrix(n, phi))
         assert np.max(np.abs(u.imag)) < 1e-10
         assert np.max(np.abs(w - u.real)) < 1e-9
@@ -103,6 +133,11 @@ class TestWignerOverlap:
             wigner_overlap(4, 5, 0, 0.3)
         with pytest.raises(ValidationError):
             wigner_overlap(4, 0, -1, 0.3)
+
+    def test_cached_matrix_is_read_only_and_contiguous(self):
+        w = wigner_rotation_matrix(7, 0.4)
+        assert w.flags.c_contiguous and not w.flags.writeable
+        assert w is wigner_rotation_matrix(7, 0.4)
 
     def test_scalar_matches_matrix(self):
         w = np.asarray(wigner_rotation_matrix(12, 0.85))
