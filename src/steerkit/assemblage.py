@@ -31,12 +31,17 @@ from .states import BipartitePureState
 
 @dataclass(frozen=True)
 class SettingRecord:
-    """One measurement setting: outcome probabilities and conditional states."""
+    """One measurement setting: outcome probabilities and conditional states.
+
+    ``outcomes`` labels each kept outcome, so outcomes dropped below
+    ``TOL.prob_floor`` leave the others identifiable; ``make_assemblage``
+    fills missing labels with the positions "0", "1", ...
+    """
 
     label: str
     probabilities: np.ndarray
     states: tuple[np.ndarray, ...]
-    source_povm: POVM | None = None
+    outcomes: tuple[str, ...] = ()
 
     @property
     def n_outcomes(self) -> int:
@@ -48,8 +53,8 @@ class SettingRecord:
 
     def reduced(self) -> np.ndarray:
         out = np.zeros((self.states[0].shape[0],) * 2, dtype=complex)
-        for p, st in zip(self.probabilities, self.states):
-            out += p * (outer(st) if st.ndim == 1 else st)
+        for i, p in enumerate(self.probabilities):
+            out += p * self.state_matrix(i)
         return out
 
 
@@ -74,12 +79,13 @@ class Assemblage:
         return self.settings[0].reduced()
 
 
-def make_assemblage(settings, d_b: int, validate: bool = True, validate_states: bool = True) -> Assemblage:
-    """Validate probabilities, conditional states and no-signalling.
+def make_assemblage(settings, d_b: int, validate_states: bool = True) -> Assemblage:
+    """Validate probabilities, outcome labels, conditional states and no-signalling.
 
-    Constructors that normalize conditional states out of sub-normalized
-    blocks validate those blocks at their own scale (where roundoff is not
-    amplified by 1/p) and pass ``validate_states=False``.
+    Records without outcome labels get their positions "0", "1", ... as
+    labels.  Constructors that normalize conditional states out of
+    sub-normalized blocks validate those blocks at their own scale (where
+    roundoff is not amplified by 1/p) and pass ``validate_states=False``.
     """
     recs = []
     for rec in settings:
@@ -87,28 +93,28 @@ def make_assemblage(settings, d_b: int, validate: bool = True, validate_states: 
         states = tuple(np.asarray(s, dtype=complex) for s in rec.states)
         if len(states) != len(probs) or len(states) == 0:
             raise ValidationError(f"setting {rec.label!r}: outcome count mismatch or empty")
-        if validate:
-            if float(probs.min()) < -TOL.prob_floor:
-                raise ValidationError(f"setting {rec.label!r} has negative probability")
-            dev = abs(float(probs.sum()) - 1.0)
-            if dev > TOL.prob_sum:
+        outcomes = tuple(str(o) for o in rec.outcomes) or tuple(str(i) for i in range(len(states)))
+        if len(outcomes) != len(states) or len(set(outcomes)) != len(outcomes):
+            raise ValidationError(f"setting {rec.label!r}: need one distinct label per outcome, got {outcomes}")
+        if float(probs.min()) < -TOL.prob_floor:
+            raise ValidationError(f"setting {rec.label!r} has negative probability")
+        dev = abs(float(probs.sum()) - 1.0)
+        if dev > TOL.prob_sum:
+            raise ValidationError(f"setting {rec.label!r}: probabilities sum to {probs.sum():.12f}")
+        for lab, st in zip(outcomes, states):
+            if st.shape[0] != d_b:
                 raise ValidationError(
-                    f"setting {rec.label!r}: probabilities sum to {probs.sum():.12f}"
+                    f"setting {rec.label!r}, outcome {lab}: dimension {st.shape[0]} != {d_b}"
                 )
-            for i, st in enumerate(states):
-                if st.shape[0] != d_b:
-                    raise ValidationError(
-                        f"setting {rec.label!r}, outcome {i}: dimension {st.shape[0]} != {d_b}"
-                    )
-                if not validate_states:
-                    continue
-                if st.ndim == 1:
-                    require_state_vector(st, name=f"conditional state {rec.label}/{i}")
-                else:
-                    require_density_matrix(st, name=f"conditional state {rec.label}/{i}")
-        recs.append(replace(rec, probabilities=probs, states=states))
+            if not validate_states:
+                continue
+            if st.ndim == 1:
+                require_state_vector(st, name=f"conditional state {rec.label}/{lab}")
+            else:
+                require_density_matrix(st, name=f"conditional state {rec.label}/{lab}")
+        recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
-    if validate and len(recs) > 1:
+    if len(recs) > 1:
         first = recs[0].reduced()
         for rec in recs[1:]:
             dev = float(np.max(np.abs(rec.reduced() - first)))
@@ -138,8 +144,33 @@ def _normalize_block(block: np.ndarray, p: float, name: str) -> np.ndarray:
     return cond
 
 
+def _setting(label, outcome_labels, blocks) -> SettingRecord:
+    """Condition on each outcome of one setting, keeping the survivors' labels.
+
+    ``blocks`` holds p(a) * state per outcome: an amplitude row sqrt(p) psi_a
+    or a sub-normalized matrix p rho_a.  Outcomes with p below
+    ``TOL.prob_floor`` are dropped; the others are normalized (matrices
+    through ``_normalize_block``) and keep their own label.
+    """
+    probs, states, kept = [], [], []
+    for lab, block in zip(outcome_labels, blocks):
+        pure = block.ndim == 1
+        p = float(np.vdot(block, block).real if pure else np.trace(block).real)
+        if p < TOL.prob_floor:
+            continue
+        states.append(block / np.sqrt(p) if pure else _normalize_block(block, p, f"conditional state {label}/{lab}"))
+        probs.append(p)
+        kept.append(str(lab))
+    return SettingRecord(
+        label=str(label), probabilities=np.asarray(probs), states=tuple(states), outcomes=tuple(kept)
+    )
+
+
 def assemblage_from_state(rho_ab, dims: tuple[int, int], povms) -> Assemblage:
-    """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each POVM setting."""
+    """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each POVM setting "setting<i>".
+
+    Outcomes keep their POVM labels.
+    """
     d_a, d_b = int(dims[0]), int(dims[1])
     rho = require_density_matrix(rho_ab, name="rho_AB")
     if rho.shape[0] != d_a * d_b:
@@ -149,20 +180,8 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], povms) -> Assemblage:
     for idx, povm in enumerate(povms):
         if povm.dim != d_a:
             raise ValidationError(f"POVM {idx} acts on dimension {povm.dim}, Alice has {d_a}")
-        probs, states = [], []
-        for eff in povm.effects:
-            block = np.einsum("ij,jbic->bc", eff, four)
-            p = float(np.trace(block).real)
-            if p < TOL.prob_floor:
-                continue
-            states.append(_normalize_block(block, p, "conditional state"))
-            probs.append(p)
-        recs.append(
-            SettingRecord(
-                label=f"setting{idx}", probabilities=np.asarray(probs), states=tuple(states),
-                source_povm=povm,
-            )
-        )
+        blocks = (np.einsum("ij,jbic->bc", eff, four) for eff in povm.effects)
+        recs.append(_setting(f"setting{idx}", povm.labels, blocks))
     return make_assemblage(recs, d_b, validate_states=False)
 
 
@@ -171,36 +190,19 @@ def assemblage_from_pure_state(state: BipartitePureState, settings) -> Assemblag
 
     ``settings`` maps labels to POVMs; rank-1 POVMs (``vectors`` present)
     steer into pure conditional states via amplitude contraction, others fall
-    back to dense conditional density matrices.
+    back to dense conditional density matrices.  Outcomes keep their POVM
+    labels.
     """
     psi = state.matrix
     recs = []
     for label, povm in settings.items() if isinstance(settings, dict) else settings:
         if povm.dim != state.d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {state.d_a}")
-        probs, conds = [], []
         if povm.vectors is not None:
-            for vec in povm.vectors:
-                amp = vec.conj() @ psi
-                p = float(np.vdot(amp, amp).real)
-                if p < TOL.prob_floor:
-                    continue
-                probs.append(p)
-                conds.append(amp / np.sqrt(p))
+            blocks = (vec.conj() @ psi for vec in povm.vectors)
         else:
-            for eff in povm.effects:
-                block = np.einsum("ij,jb,ic->bc", eff, psi, psi.conj())
-                p = float(np.trace(block).real)
-                if p < TOL.prob_floor:
-                    continue
-                probs.append(p)
-                conds.append(_normalize_block(block, p, "conditional state"))
-        recs.append(
-            SettingRecord(
-                label=str(label), probabilities=np.asarray(probs), states=tuple(conds),
-                source_povm=povm,
-            )
-        )
+            blocks = (np.einsum("ij,jb,ic->bc", eff, psi, psi.conj()) for eff in povm.effects)
+        recs.append(_setting(label, povm.labels, blocks))
     return make_assemblage(recs, state.d_b, validate_states=False)
 
 
@@ -218,7 +220,7 @@ class LHSModel:
 
 
 def assemblage_from_lhs(model: LHSModel) -> Assemblage:
-    """A(a, X) = sum_lambda p(a|X,lambda) p(lambda) sigma_lambda."""
+    """A(a, X) = sum_lambda p(a|X,lambda) p(lambda) sigma_lambda; outcome a is labelled "a"."""
     w = np.asarray(model.weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must be a nonempty vector")
@@ -238,17 +240,8 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
         col_dev = float(np.max(np.abs(r.sum(axis=0) - 1.0)))
         if col_dev > TOL.weight_sum:
             raise ValidationError(f"response columns for {label!r} sum to 1 +/- {col_dev:.3e}")
-        probs, states = [], []
-        for a in range(r.shape[0]):
-            p = float(np.dot(r[a], w))
-            if p < TOL.prob_floor:
-                continue
-            mix = np.zeros((d_b, d_b), dtype=complex)
-            for lam in range(w.size):
-                mix += r[a, lam] * w[lam] * sigmas[lam]
-            probs.append(p)
-            states.append(_normalize_block(mix, p, f"conditional state {label}/{a}"))
-        recs.append(SettingRecord(label=str(label), probabilities=np.asarray(probs), states=tuple(states)))
+        blocks = (sum(r[a, lam] * w[lam] * sigmas[lam] for lam in range(w.size)) for a in range(r.shape[0]))
+        recs.append(_setting(label, [str(a) for a in range(r.shape[0])], blocks))
     if not recs:
         raise ValidationError("LHS model defines no settings")
     return make_assemblage(recs, d_b, validate_states=False)
@@ -262,30 +255,22 @@ def setting_average_qfi(rec: SettingRecord, h: np.ndarray) -> float:
     return float(sum(p * qfi(st, h) for p, st in zip(rec.probabilities, rec.states)))
 
 
-def conditional_variance(assemblage: Assemblage, h) -> tuple[float, str]:
-    """min over settings of sum_a p(a|X) Var[rho_a, H]; first setting wins ties."""
+def _best_setting(assemblage: Assemblage, h, average, pick) -> tuple[float, str]:
+    """Evaluate ``average`` on every setting; ``pick`` (min or max) keeps the first extremum."""
     op = require_hermitian(h, name="H")
     if not assemblage.settings:
         raise ValidationError("assemblage has no settings")
-    best_val, best_label = None, None
-    for rec in assemblage.settings:
-        val = setting_average_variance(rec, op)
-        if best_val is None or val < best_val:
-            best_val, best_label = val, rec.label
-    return best_val, best_label
+    return pick(((average(rec, op), rec.label) for rec in assemblage.settings), key=lambda v: v[0])
+
+
+def conditional_variance(assemblage: Assemblage, h) -> tuple[float, str]:
+    """min over settings of sum_a p(a|X) Var[rho_a, H]; first setting wins ties."""
+    return _best_setting(assemblage, h, setting_average_variance, min)
 
 
 def conditional_qfi(assemblage: Assemblage, h) -> tuple[float, str]:
     """max over settings of sum_a p(a|X) F_Q[rho_a, H]; first setting wins ties."""
-    op = require_hermitian(h, name="H")
-    if not assemblage.settings:
-        raise ValidationError("assemblage has no settings")
-    best_val, best_label = None, None
-    for rec in assemblage.settings:
-        val = setting_average_qfi(rec, op)
-        if best_val is None or val > best_val:
-            best_val, best_label = val, rec.label
-    return best_val, best_label
+    return _best_setting(assemblage, h, setting_average_qfi, max)
 
 
 @dataclass(frozen=True)
@@ -300,24 +285,16 @@ class WitnessReport:
     argmax_setting: str
     argmin_setting: str
     steering: bool
-    reid_lhs_rhs: tuple[float, float] | None = None
-    s_max_pure: float | None = None
-    s_avg_pure: float | None = None
-    s_lower_bound: float | None = None
 
 
-def steering_witness(assemblage: Assemblage, h, m=None) -> WitnessReport:
-    """Evaluate the conditional QFI/variance gap; delta > tol flags steering.
-
-    With ``m`` supplied the report also carries the inference-variance
-    product and its commutator bound (the Reid pair).
-    """
+def steering_witness(assemblage: Assemblage, h) -> WitnessReport:
+    """Evaluate the conditional QFI/variance gap; delta > tol flags steering."""
     op = require_hermitian(h, name="H")
     cq, argmax = conditional_qfi(assemblage, op)
     cv, argmin = conditional_variance(assemblage, op)
     delta = cq / 4.0 - cv
     reduced = assemblage.reduced_state()
-    report = WitnessReport(
+    return WitnessReport(
         cond_qfi=cq,
         cond_var=cv,
         delta=delta,
@@ -326,9 +303,7 @@ def steering_witness(assemblage: Assemblage, h, m=None) -> WitnessReport:
         argmax_setting=argmax,
         argmin_setting=argmin,
         steering=bool(delta > TOL.witness),
-        reid_lhs_rhs=None if m is None else reid_witness(assemblage, op, m),
     )
-    return report
 
 
 def reid_witness(assemblage: Assemblage, h, m) -> tuple[float, float]:
@@ -383,25 +358,21 @@ def bounds_check(report: WitnessReport, tol: float = 1e-9) -> bool:
 
 
 def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Assemblage:
-    """Classical mixture weight * A1 + (1 - weight) * A2, outcome by outcome."""
+    """Classical mixture weight * A1 + (1 - weight) * A2, outcome label by outcome label.
+
+    Each setting's outcomes are matched by label, taken in order of first
+    appearance; an outcome present in only one assemblage enters with
+    probability 0 from the other.
+    """
     if not 0.0 <= weight <= 1.0:
         raise ValidationError(f"weight must be in [0, 1], got {weight}")
     if first.d_b != second.d_b or first.labels != second.labels:
         raise ValidationError("assemblages must share Bob dimension and setting labels")
     recs = []
     for rec1, rec2 in zip(first.settings, second.settings):
-        if rec1.n_outcomes != rec2.n_outcomes:
-            raise ValidationError(f"setting {rec1.label!r}: outcome counts differ")
-        probs, states = [], []
-        for i in range(rec1.n_outcomes):
-            p = weight * rec1.probabilities[i] + (1.0 - weight) * rec2.probabilities[i]
-            if p < TOL.prob_floor:
-                continue
-            blended = (
-                weight * rec1.probabilities[i] * rec1.state_matrix(i)
-                + (1.0 - weight) * rec2.probabilities[i] * rec2.state_matrix(i)
-            )
-            probs.append(p)
-            states.append(_normalize_block(blended, p, f"mixed conditional {rec1.label}/{i}"))
-        recs.append(SettingRecord(label=rec1.label, probabilities=np.asarray(probs), states=tuple(states)))
+        blocks: dict[str, np.ndarray] = {}
+        for t, rec in ((weight, rec1), (1.0 - weight, rec2)):
+            for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities)):
+                blocks[lab] = blocks.get(lab, 0.0) + t * p * rec.state_matrix(i)
+        recs.append(_setting(rec1.label, blocks.keys(), blocks.values()))
     return make_assemblage(recs, first.d_b, validate_states=False)

@@ -178,11 +178,20 @@ def _cmd_estimate(args):
     write_csv(header, rows, args.out)
 
 
-def _witness_input(path: str):
+def _witness_input(path: str) -> Assemblage | BipartitePureState:
+    """Parse the witness input once and dispatch on its 'type'."""
     doc = serialize.load_document(path)
-    if doc.get("type") == "assemblage":
+    kind = doc.get("type")
+    if kind == "assemblage":
         return serialize.assemblage_from_json(doc)
-    return serialize.load_state(path)
+    if kind == "bipartite_pure_state":
+        return serialize.state_from_json(doc)
+    if kind == "density_matrix":
+        raise ValidationError(
+            "witness needs a bipartite pure state or an assemblage; a bare density "
+            "matrix does not determine Alice's settings"
+        )
+    raise SchemaError(f"$.type: expected 'bipartite_pure_state' or 'density_matrix', got {kind!r}")
 
 
 def _cmd_witness(args):
@@ -193,7 +202,7 @@ def _cmd_witness(args):
         quantifiers = {}
         if args.quantify:
             quantifiers["s_lower_bound"] = s_max_lower_bound(asm)
-    elif isinstance(loaded, BipartitePureState):
+    else:
         asm = assemblage_from_pure_state(
             loaded,
             [
@@ -203,11 +212,6 @@ def _cmd_witness(args):
         )
         spectrum = schmidt(loaded).coefficients
         quantifiers = {"s_max_pure": s_max_pure(spectrum), "s_avg_pure": s_avg_pure(spectrum)}
-    else:
-        raise ValidationError(
-            "witness needs a bipartite pure state or an assemblage; a bare density "
-            "matrix does not determine Alice's settings"
-        )
     report = steering_witness(asm, observable)
     doc = serialize.witness_report_to_json(report)
     doc.update(quantifiers)

@@ -32,6 +32,7 @@ from .states import (
     ghz_white_noise,
     hybrid_cat,
     collective_jz,
+    partition_sector_amplitudes,
     spin_ops,
     split_dicke_fixed,
     wigner_rotation_matrix,
@@ -182,7 +183,7 @@ def split_dicke_rows(n: int, k: int):
     rec = asm.setting("Jx")
     header = ["kind", "k_a", "p", "p_ref", "fq_cond", "fq_cond_ref"]
     rows = []
-    for label, p, st in zip(rec.source_povm.labels, rec.probabilities, rec.states):
+    for label, p, st in zip(rec.outcomes, rec.probabilities, rec.states):
         k_a = int(label.split("=")[1])
         fq = qfi(st, jz_b)
         p_ref = 2.0 / (n + 2.0) if twin else ""
@@ -219,25 +220,6 @@ class PartitionQuantities:
     mean_jz_ref: float
 
 
-def _partition_sector_amplitudes(n: int, k: int, p: float, n_a: int) -> np.ndarray:
-    """Real amplitudes over k_A = 0..n_a (zero outside the admissible window)."""
-    amps = np.zeros(n_a + 1)
-    lo, hi = dicke_bounds(k, n_a, n - n_a)
-    if lo > hi:
-        return amps
-    if (p == 0.0 and n_a > 0) or (p == 1.0 and n_a < n):
-        return amps
-    for k_a in range(lo, hi + 1):
-        log_w = (
-            math.lgamma(k + 1) - math.lgamma(k_a + 1) - math.lgamma(k - k_a + 1)
-            + math.lgamma(n - k + 1) - math.lgamma(n_a - k_a + 1) - math.lgamma(n - k - n_a + k_a + 1)
-        )
-        if 0.0 < p < 1.0:
-            log_w += n_a * math.log(p) + (n - n_a) * math.log1p(-p)
-        amps[k_a] = math.exp(0.5 * log_w)
-    return amps
-
-
 def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuantities:
     """Sector-blocked evaluation of the partition-noise split Dicke example.
 
@@ -255,7 +237,7 @@ def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuant
     qfi_red = 0.0
     total_weight = 0.0
     for n_a in range(0, n + 1):
-        amps = _partition_sector_amplitudes(n, k, p, n_a)
+        amps = partition_sector_amplitudes(n, k, p, n_a)
         weights = amps**2
         sector_weight = float(weights.sum())
         if sector_weight < TOL.prob_floor:

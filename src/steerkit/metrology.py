@@ -28,9 +28,9 @@ from .linalg import (
 class POVM:
     """A generalized measurement: positive effects summing to the identity.
 
-    ``vectors``, when present, certifies that ``effects[i] == |v_i><v_i|``
-    exactly (rank-1), which lets pure-state code condition on amplitudes
-    instead of matrices.
+    ``vectors`` is set by ``povm_from_basis``, where ``effects[i] == |v_i><v_i|``
+    by construction; pure-state code then conditions on amplitudes instead
+    of matrices.
     """
 
     effects: tuple[np.ndarray, ...]
@@ -46,7 +46,7 @@ class POVM:
         return len(self.effects)
 
 
-def make_povm(effects, labels=None, vectors=None) -> POVM:
+def make_povm(effects, labels=None) -> POVM:
     """Validate effects (PSD, summing to identity) and build a POVM."""
     mats = tuple(as_complex_matrix(e, "POVM effect") for e in effects)
     if not mats:
@@ -61,23 +61,30 @@ def make_povm(effects, labels=None, vectors=None) -> POVM:
         if lo < TOL.psd:
             raise ValidationError(f"POVM effect {i} has negative eigenvalue {lo:.3e}")
         total += eff
-    dev = float(np.max(np.abs(total - np.eye(dim))))
-    if dev > TOL.povm_identity:
-        raise ValidationError(f"POVM effects sum deviates from identity by {dev:.3e}")
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(mats)))
-    labels = tuple(str(lab) for lab in labels)
-    if len(labels) != len(mats):
-        raise ValidationError("POVM labels and effects differ in length")
-    vecs = None if vectors is None else tuple(as_complex_vector(v) for v in vectors)
-    return POVM(effects=mats, labels=labels, vectors=vecs)
+    return _complete_povm(total, mats, labels)
 
 
 def povm_from_basis(basis, labels=None) -> POVM:
-    """Projective POVM from orthonormal basis columns (completeness required)."""
+    """Projective POVM {|v_i><v_i|} from the columns v_i of a complete basis.
+
+    Rank-1 projectors are Hermitian and positive by construction, so the one
+    check is completeness, max |V V^dag - I| <= ``TOL.povm_identity``: the
+    condition ``make_povm`` applies to the summed effects.
+    """
     mat = as_complex_matrix(basis, "basis")
-    effects = [outer(mat[:, i]) for i in range(mat.shape[1])]
-    return make_povm(effects, labels=labels, vectors=[mat[:, i] for i in range(mat.shape[1])])
+    vectors = tuple(mat[:, i] for i in range(mat.shape[1]))
+    return _complete_povm(mat @ dagger(mat), [outer(v) for v in vectors], labels, vectors)
+
+
+def _complete_povm(total: np.ndarray, effects, labels, vectors=None) -> POVM:
+    """Check the summed effects ``total`` against the identity, then label and build the POVM."""
+    dev = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    if dev > TOL.povm_identity:
+        raise ValidationError(f"POVM effects sum deviates from identity by {dev:.3e}")
+    labels = tuple(str(i) for i in range(len(effects))) if labels is None else tuple(str(lab) for lab in labels)
+    if len(labels) != len(effects):
+        raise ValidationError("POVM labels and effects differ in length")
+    return POVM(effects=tuple(effects), labels=labels, vectors=vectors)
 
 
 def _check_dims(state: np.ndarray, op: np.ndarray, name: str) -> None:

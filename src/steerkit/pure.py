@@ -22,7 +22,7 @@ from .assemblage import (
     conditional_variance,
 )
 from .linalg import TOL, NumericError, ValidationError, dagger, require_hermitian
-from .metrology import POVM, make_povm
+from .metrology import POVM, povm_from_basis
 from .states import BipartitePureState
 
 _SUPPORT_CUT = 1e-12
@@ -82,6 +82,16 @@ def _steering_basis(sd: SchmidtDecomposition, bob_vectors: np.ndarray) -> np.nda
     return np.concatenate([alice, rest], axis=1)
 
 
+def _support_generator(state: BipartitePureState, h) -> tuple[SchmidtDecomposition, np.ndarray, np.ndarray]:
+    """Schmidt data, the support spectrum p of rho_B, and H on that support (Schmidt basis)."""
+    op = require_hermitian(h, name="H")
+    if op.shape[0] != state.d_b:
+        raise ValidationError(f"H acts on dimension {op.shape[0]}, Bob has {state.d_b}")
+    sd = schmidt(state)
+    b_support = sd.basis_b[:, : sd.rank]
+    return sd, sd.coefficients[: sd.rank], dagger(b_support) @ op @ b_support
+
+
 def optimal_povm_qfi(state: BipartitePureState, h) -> POVM:
     """Alice's projective measurement achieving the conditional QFI on a pure state.
 
@@ -90,26 +100,14 @@ def optimal_povm_qfi(state: BipartitePureState, h) -> POVM:
     the reduced-state mean; the steered ensemble then attains the average QFI
     4 Var[rho_B, H] (the concave roof of the variance).
     """
-    op = require_hermitian(h, name="H")
-    if op.shape[0] != state.d_b:
-        raise ValidationError(f"H acts on dimension {op.shape[0]}, Bob has {state.d_b}")
-    sd = schmidt(state)
-    r = sd.rank
-    p = sd.coefficients[:r]
-    b_support = sd.basis_b[:, :r]
-    h_tilde = dagger(b_support) @ op @ b_support
+    sd, p, h_tilde = _support_generator(state, h)
     root = np.sqrt(p)
     x_op = (root[:, None] * h_tilde * root[None, :]) - float(np.dot(p, h_tilde.diagonal().real)) * np.diag(p)
     _, x_vecs = np.linalg.eigh((x_op + dagger(x_op)) / 2.0)
+    r = p.size
     k = np.arange(r)
     fourier = np.exp(2j * np.pi * np.outer(k, k) / r) / math.sqrt(r)
-    combined = x_vecs @ fourier
-    basis = _steering_basis(sd, combined)
-    return make_povm(
-        [np.outer(basis[:, i], basis[:, i].conj()) for i in range(state.d_a)],
-        labels=[str(i) for i in range(state.d_a)],
-        vectors=[basis[:, i] for i in range(state.d_a)],
-    )
+    return povm_from_basis(_steering_basis(sd, x_vecs @ fourier))
 
 
 def optimal_povm_var(state: BipartitePureState, h) -> POVM:
@@ -119,24 +117,12 @@ def optimal_povm_var(state: BipartitePureState, h) -> POVM:
     eigenbasis steer Bob into the convex-roof ensemble, whose average
     variance equals F_Q[rho_B, H] / 4.
     """
-    op = require_hermitian(h, name="H")
-    if op.shape[0] != state.d_b:
-        raise ValidationError(f"H acts on dimension {op.shape[0]}, Bob has {state.d_b}")
-    sd = schmidt(state)
-    r = sd.rank
-    p = sd.coefficients[:r]
-    b_support = sd.basis_b[:, :r]
-    h_tilde = dagger(b_support) @ op @ b_support
+    sd, p, h_tilde = _support_generator(state, h)
     pair = p[:, None] + p[None, :]
     weights = 2.0 * np.sqrt(np.outer(p, p)) / pair
     y_op = weights * h_tilde
     _, y_vecs = np.linalg.eigh((y_op + dagger(y_op)) / 2.0)
-    basis = _steering_basis(sd, y_vecs)
-    return make_povm(
-        [np.outer(basis[:, i], basis[:, i].conj()) for i in range(state.d_a)],
-        labels=[str(i) for i in range(state.d_a)],
-        vectors=[basis[:, i] for i in range(state.d_a)],
-    )
+    return povm_from_basis(_steering_basis(sd, y_vecs))
 
 
 def optimal_assemblage(state: BipartitePureState, h) -> Assemblage:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import Assemblage, conditional_variance
-from .linalg import NumericError, ValidationError, hermitian_eig, outer, require_hermitian
+from .linalg import NumericError, ValidationError, hermitian_eig, outer, require_hermitian, unitary_from_generator
 from .metrology import POVM, expectation, variance
 
 _FD_STEP = 1e-5  # finite-difference step for the derivative cross-check
@@ -55,17 +55,11 @@ class SampleRun:
     setting: str
 
 
-def _as_density(state: np.ndarray) -> np.ndarray:
-    return outer(state) if state.ndim == 1 else state
-
-
 def _mean_derivative(rho: np.ndarray, h: np.ndarray, m: np.ndarray) -> float:
     """d<M>_theta/dtheta at theta = 0, analytically and with an FD cross-check."""
     comm = m @ h - h @ m
     analytic = float((-1j * np.trace(rho @ comm)).real)
-    spec = hermitian_eig(h)
-    phases = np.exp(-1j * _FD_STEP * spec.eigenvalues)
-    u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
+    u = unitary_from_generator(h, _FD_STEP)
     fwd = float(np.trace((u @ rho @ u.conj().T) @ m).real)
     bwd = float(np.trace((u.conj().T @ rho @ u) @ m).real)
     fd = (fwd - bwd) / (2.0 * _FD_STEP)
@@ -116,8 +110,8 @@ def moment_estimator_validation(
         m_list = [m_single] * rec.n_outcomes
 
     deriv = 0.0
-    for p_a, st, m_a in zip(rec.probabilities, rec.states, m_list):
-        deriv += p_a * _mean_derivative(_as_density(st), h, m_a)
+    for i, (p_a, m_a) in enumerate(zip(rec.probabilities, m_list)):
+        deriv += p_a * _mean_derivative(rec.state_matrix(i), h, m_a)
     if abs(deriv) < 1e-8:
         raise NumericError(f"response |d<M>/dtheta| = {abs(deriv):.3e} is flat; cannot calibrate")
     spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
@@ -126,10 +120,7 @@ def moment_estimator_validation(
             f"theta_true = {theta_true} leaves the linear-response window for this generator"
         )
 
-    h_spec = hermitian_eig(h)
-    u = (h_spec.eigenvectors * np.exp(-1j * float(theta_true) * h_spec.eigenvalues)) @ (
-        h_spec.eigenvectors.conj().T
-    )
+    u = unitary_from_generator(h, theta_true)
 
     # Joint distribution of (Alice outcome, Bob M_a-eigenvector) at theta_true,
     # and the calibrated per-outcome offsets m_est(a) - m at theta = 0.

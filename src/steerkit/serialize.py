@@ -129,8 +129,8 @@ def assemblage_to_json(assemblage: Assemblage) -> dict:
             {
                 "label": rec.label,
                 "outcomes": [
-                    {"p": float(p), "rho": matrix_to_json(rec.state_matrix(i))}
-                    for i, p in enumerate(rec.probabilities)
+                    {"label": lab, "p": float(p), "rho": matrix_to_json(rec.state_matrix(i))}
+                    for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities))
                 ],
             }
             for rec in assemblage.settings
@@ -150,7 +150,7 @@ def assemblage_from_json(doc: dict, path: str = "$") -> Assemblage:
         _require_keys(setting, ("label", "outcomes"), spath)
         if not isinstance(setting["outcomes"], list) or not setting["outcomes"]:
             _fail(f"{spath}.outcomes", "expected a nonempty list")
-        probs, states = [], []
+        probs, states, labels = [], [], []
         for j, outcome in enumerate(setting["outcomes"]):
             opath = f"{spath}.outcomes[{j}]"
             _require_keys(outcome, ("p", "rho"), opath)
@@ -158,14 +158,21 @@ def assemblage_from_json(doc: dict, path: str = "$") -> Assemblage:
                 _fail(f"{opath}.p", f"expected a number, got {outcome['p']!r}")
             probs.append(float(outcome["p"]))
             states.append(matrix_from_json(outcome["rho"], f"{opath}.rho"))
+            label = outcome.get("label", str(j))
+            if not isinstance(label, str):
+                _fail(f"{opath}.label", f"expected a string, got {label!r}")
+            labels.append(label)
         recs.append(
-            SettingRecord(label=str(setting["label"]), probabilities=np.asarray(probs), states=tuple(states))
+            SettingRecord(
+                label=str(setting["label"]), probabilities=np.asarray(probs), states=tuple(states),
+                outcomes=tuple(labels),
+            )
         )
     return make_assemblage(recs, doc["d_b"])
 
 
 def witness_report_to_json(report: WitnessReport) -> dict:
-    doc = {
+    return {
         "type": "witness_report",
         "cond_qfi": report.cond_qfi,
         "cond_var": report.cond_var,
@@ -176,13 +183,6 @@ def witness_report_to_json(report: WitnessReport) -> dict:
         "argmin_setting": report.argmin_setting,
         "steering": report.steering,
     }
-    if report.reid_lhs_rhs is not None:
-        doc["reid_lhs"], doc["reid_rhs"] = report.reid_lhs_rhs
-    for key in ("s_max_pure", "s_avg_pure", "s_lower_bound"):
-        value = getattr(report, key)
-        if value is not None:
-            doc[key] = value
-    return doc
 
 
 def sample_run_to_json(run: SampleRun) -> dict:

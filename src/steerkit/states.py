@@ -200,10 +200,6 @@ def split_dicke_fixed(k: int, n_a: int, n_b: int) -> BipartitePureState:
     )
 
 
-def _log_binom(n: int, k: int) -> float:
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-
-
 def partition_labels(n: int) -> tuple[tuple, ...]:
     """All (particle number, excitation) sector labels for one side of a split.
 
@@ -213,13 +209,35 @@ def partition_labels(n: int) -> tuple[tuple, ...]:
     return tuple((n_x, k_x) for n_x in range(n + 1) for k_x in range(n_x + 1))
 
 
+def partition_sector_amplitudes(n: int, k: int, p: float, n_a: int) -> np.ndarray:
+    """Beam-splitter amplitudes of a k-excitation Dicke state in Alice's N_A = n_a sector.
+
+    Entry k_A holds the real amplitude on |n_a, k_A> (x) |n - n_a, k - k_A>,
+    sqrt(C(k, k_A) C(n-k, n_a-k_A)) p^{n_a/2} (1-p)^{(n-n_a)/2}, with the
+    binomials through log-gamma so n = 200 stays finite.  Entries outside the
+    admissible k_A window are 0, as is every sector with n_a > 0 at p = 0 or
+    n_a < n at p = 1.
+    """
+    amps = np.zeros(n_a + 1)
+    lo, hi = dicke_bounds(k, n_a, n - n_a)
+    if (p == 0.0 and n_a > 0) or (p == 1.0 and n_a < n):
+        return amps
+    for k_a in range(lo, hi + 1):
+        log_w = (
+            lgamma(k + 1) - lgamma(k_a + 1) - lgamma(k - k_a + 1)
+            + lgamma(n - k + 1) - lgamma(n_a - k_a + 1) - lgamma(n - k - n_a + k_a + 1)
+        )
+        if 0.0 < p < 1.0:
+            log_w += n_a * math.log(p) + (n - n_a) * math.log1p(-p)
+        amps[k_a] = math.exp(0.5 * log_w)
+    return amps
+
+
 def split_dicke_beamsplitter(k: int, n: int, p: float) -> BipartitePureState:
     """Dicke state with k excitations sent through a p : 1-p beam splitter.
 
-    Both sides carry the full (particle number, excitations) sector basis;
-    the amplitude on |N_A, k_A> (x) |n - N_A, k - k_A> is
-    sqrt(C(k, k_A) C(n-k, N_A-k_A)) p^{N_A/2} (1-p)^{(n-N_A)/2}, with the
-    binomials through log-gamma so n = 200 stays finite.
+    Both sides carry the full (particle number, excitations) sector basis,
+    with the amplitudes of ``partition_sector_amplitudes``.
     """
     k, n = int(k), int(n)
     if n < 1 or not 0 <= k <= n:
@@ -230,14 +248,10 @@ def split_dicke_beamsplitter(k: int, n: int, p: float) -> BipartitePureState:
     index = {lab: i for i, lab in enumerate(labels)}
     d = len(labels)
     mat = np.zeros((d, d), dtype=complex)
-    for k_a in range(0, k + 1):
-        for n_a in range(k_a, n - k + k_a + 1):
-            if (p == 0.0 and n_a > 0) or (p == 1.0 and n_a < n):
-                continue
-            log_w = _log_binom(k, k_a) + _log_binom(n - k, n_a - k_a)
-            if 0.0 < p < 1.0:
-                log_w += n_a * math.log(p) + (n - n_a) * math.log1p(-p)
-            mat[index[(n_a, k_a)], index[(n - n_a, k - k_a)]] = math.exp(0.5 * log_w)
+    for n_a in range(n + 1):
+        for k_a, amp in enumerate(partition_sector_amplitudes(n, k, p, n_a)):
+            if amp:
+                mat[index[(n_a, k_a)], index[(n - n_a, k - k_a)]] = amp
     vec = mat.reshape(-1)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-10:

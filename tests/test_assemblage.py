@@ -389,3 +389,65 @@ class TestErrorContracts:
         asm = bell_assemblage()
         with pytest.raises(ValidationError):
             conditional_qfi(asm, np.eye(3))
+
+
+def product_assemblage(bits: str):
+    """|b_A b_B> read out by Alice along z, as a one-setting assemblage labelled "z"."""
+    amps = np.zeros(4, dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    state = BipartitePureState(dims=(2, 2), amplitudes=amps)
+    return assemblage_from_pure_state(state, [("z", qubit_basis_povm("z"))])
+
+
+class TestOutcomeIdentity:
+    def test_pure_state_keeps_surviving_label(self):
+        rec = product_assemblage("00").setting("z")
+        assert rec.outcomes == ("z+",)
+        assert np.allclose(rec.probabilities, [1.0])
+
+    def test_mixing_pairs_outcomes_by_label(self):
+        # |11> leaves only z-, |00> only z+; mixing must not add z- of one to z+ of the other
+        mixed = mix_assemblages(product_assemblage("11"), product_assemblage("00"), 0.5)
+        assert conditional_variance(mixed, SZ / 2)[0] == 0.0  # z+ -> |0>, z- -> |1>: no spread left
+        rec = mixed.setting("z")
+        assert sorted(rec.outcomes) == ["z+", "z-"]
+        by_label = {lab: (p, rec.state_matrix(i)) for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities))}
+        assert abs(by_label["z+"][0] - 0.5) < 1e-15 and abs(by_label["z-"][0] - 0.5) < 1e-15
+        assert np.allclose(by_label["z+"][1], np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(by_label["z-"][1], np.diag([0.0, 1.0]), atol=1e-15)
+
+    def test_mixing_different_outcome_counts(self):
+        bell = assemblage_from_pure_state(
+            BipartitePureState(dims=(2, 2), amplitudes=ghz_vector(2, 0.0)), [("z", qubit_basis_povm("z"))]
+        )
+        mixed = mix_assemblages(product_assemblage("00"), bell, 0.5)
+        rec = mixed.setting("z")
+        assert rec.outcomes == ("z+", "z-")
+        assert np.allclose(rec.probabilities, [0.75, 0.25], atol=1e-15)
+        assert np.allclose(rec.state_matrix(0), np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(rec.state_matrix(1), np.diag([0.0, 1.0]), atol=1e-15)
+
+    def test_lhs_dropped_outcome_keeps_positions(self, rng):
+        model = LHSModel(
+            weights=np.array([1.0]),
+            local_states=(random_density(rng, 2),),
+            responses={"X0": np.array([[0.5], [0.0], [0.5]])},
+        )
+        assert assemblage_from_lhs(model).setting("X0").outcomes == ("0", "2")
+
+    def test_missing_labels_filled_by_position(self):
+        rec = SettingRecord(
+            label="x", probabilities=np.array([0.5, 0.5]), states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        )
+        assert make_assemblage([rec], 2).settings[0].outcomes == ("0", "1")
+
+    @pytest.mark.parametrize("outcomes", [("a", "a"), ("a",), ("a", "b", "c")])
+    def test_bad_outcome_labels_rejected(self, outcomes):
+        rec = SettingRecord(
+            label="x",
+            probabilities=np.array([0.5, 0.5]),
+            states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+            outcomes=outcomes,
+        )
+        with pytest.raises(ValidationError, match="distinct label per outcome"):
+            make_assemblage([rec], 2)

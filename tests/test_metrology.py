@@ -34,6 +34,20 @@ class TestPOVM:
         assert povm.n_outcomes == 2
         assert np.allclose(sum(povm.effects), I2)
 
+    def test_projective_factory_rejects_incomplete_basis(self):
+        with pytest.raises(ValidationError, match="deviates from identity"):
+            povm_from_basis(np.diag([1.0, 0.9]))
+
+    def test_projective_factory_rejects_label_mismatch(self):
+        with pytest.raises(ValidationError, match="labels and effects differ"):
+            povm_from_basis(np.eye(2), labels=["only"])
+
+    def test_projective_factory_certifies_rank_one(self):
+        povm = povm_from_basis(random_unitary(np.random.default_rng(5), 3), labels="abc")
+        assert povm.labels == ("a", "b", "c")
+        for eff, vec in zip(povm.effects, povm.vectors):
+            assert np.allclose(eff, outer(vec), atol=1e-15)
+
 
 class TestVariance:
     def test_eigenstate_zero(self):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from steerkit.assemblage import steering_witness
-from steerkit.experiments import bell_assemblage, ghz_assemblage
+from steerkit.assemblage import assemblage_from_pure_state, steering_witness
+from steerkit.experiments import bell_assemblage, ghz_assemblage, qubit_basis_povm
 from steerkit.linalg import ValidationError
 from steerkit.serialize import (
     SchemaError,
@@ -115,14 +115,40 @@ class TestAssemblageRoundTrip:
         assert abs(before.cond_qfi - after.cond_qfi) < 1e-9
         assert abs(before.cond_var - after.cond_var) < 1e-12
 
+    def test_outcome_labels_survive(self, tmp_path):
+        # |00> read out along z keeps only z+; the label must not fall back to its position
+        amps = np.zeros(4, dtype=complex)
+        amps[0] = 1.0
+        asm = assemblage_from_pure_state(
+            BipartitePureState(dims=(2, 2), amplitudes=amps),
+            [("z", qubit_basis_povm("z")), ("x", qubit_basis_povm("x"))],
+        )
+        path = tmp_path / "asm.json"
+        save_json(assemblage_to_json(asm), path)
+        loaded = load_assemblage(path)
+        assert [rec.outcomes for rec in loaded.settings] == [("z+",), ("x+", "x-")]
+
+    def test_missing_outcome_labels_default_to_positions(self):
+        doc = assemblage_to_json(ghz_assemblage(2))
+        for setting in doc["settings"]:
+            for outcome in setting["outcomes"]:
+                del outcome["label"]
+        loaded = assemblage_from_json(doc)
+        assert [rec.outcomes for rec in loaded.settings] == [("0", "1"), ("0", "1")]
+
+    def test_non_string_outcome_label_is_schema_error(self):
+        doc = assemblage_to_json(ghz_assemblage(2))
+        doc["settings"][0]["outcomes"][1]["label"] = 7
+        with pytest.raises(SchemaError, match=r"outcomes\[1\]\.label"):
+            assemblage_from_json(doc)
+
 
 class TestReportSerialization:
     def test_witness_report_fields(self):
-        report = steering_witness(bell_assemblage(), SZ, m=SZ)
+        report = steering_witness(bell_assemblage(), SZ)
         doc = witness_report_to_json(report)
         for key in ("cond_qfi", "cond_var", "delta", "qfi_reduced", "var_reduced", "steering"):
             assert key in doc
-        assert "reid_lhs" in doc and "reid_rhs" in doc
         json.dumps(doc)  # serializable
 
     def test_sample_run_serializable(self):
