@@ -1,9 +1,11 @@
 """Assemblages, conditional variance/QFI over settings, and steering witnesses.
 
 An assemblage collects, per measurement setting of Alice, the outcome
-probabilities together with Bob's conditional states.  Conditional states may
-be stored as amplitude vectors (pure) or density matrices; the metrology
-functionals dispatch on the array rank.
+probabilities together with Bob's conditional states.  Each conditional state
+is stored once in spectral form (``linalg.Spectrum``, built by
+``metrology.as_state``): a pure state is rank 1, and a mixed block is
+diagonalised once, when it is conditioned on.  Bob's reduced state comes from
+the factor F whose columns are sqrt(p_a lam_i) v_i.
 
 The max/min over settings ranges over the finitely many settings supplied by
 the caller; analytically optimal settings for the worked examples are known
@@ -19,13 +21,14 @@ import numpy as np
 from .linalg import (
     TOL,
     NumericError,
+    Spectrum,
     ValidationError,
-    outer,
+    dagger,
+    hermitian_eig,
     require_density_matrix,
     require_hermitian,
-    require_state_vector,
 )
-from .metrology import POVM, cfi, qfi, variance
+from .metrology import POVM, as_state, cfi, expectation, qfi, variance
 from .states import BipartitePureState
 
 
@@ -40,7 +43,7 @@ class SettingRecord:
 
     label: str
     probabilities: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: tuple[Spectrum, ...]
     outcomes: tuple[str, ...] = ()
 
     @property
@@ -48,14 +51,21 @@ class SettingRecord:
         return len(self.states)
 
     def state_matrix(self, i: int) -> np.ndarray:
-        st = self.states[i]
-        return outer(st) if st.ndim == 1 else st
+        return self.states[i].reconstruct()
+
+    def factor(self) -> np.ndarray:
+        """F with F F^dag = sum_a p_a rho_a: the columns sqrt(p_a lam_i) v_i of every outcome.
+
+        A probability that ``make_assemblage`` let through just below 0 counts as 0.
+        """
+        return np.concatenate(
+            [st.eigenvectors * np.sqrt(max(p, 0.0) * st.eigenvalues) for p, st in zip(self.probabilities, self.states)],
+            axis=1,
+        )
 
     def reduced(self) -> np.ndarray:
-        out = np.zeros((self.states[0].shape[0],) * 2, dtype=complex)
-        for i, p in enumerate(self.probabilities):
-            out += p * self.state_matrix(i)
-        return out
+        f = self.factor()
+        return f @ dagger(f)
 
 
 @dataclass(frozen=True)
@@ -78,40 +88,43 @@ class Assemblage:
     def reduced_state(self) -> np.ndarray:
         return self.settings[0].reduced()
 
+    def reduced_spectrum(self) -> Spectrum:
+        """Bob's reduced state on its support: a thin SVD of F when F has fewer than d_B columns, else eigh."""
+        f = self.settings[0].factor()
+        if f.shape[1] < self.d_b:
+            u, s, _ = np.linalg.svd(f, full_matrices=False)
+            return Spectrum(s**2, u).support()
+        return hermitian_eig(f @ dagger(f)).support()
 
-def make_assemblage(settings, d_b: int, validate_states: bool = True) -> Assemblage:
+
+def make_assemblage(settings, d_b: int) -> Assemblage:
     """Validate probabilities, outcome labels, conditional states and no-signalling.
 
     Records without outcome labels get their positions "0", "1", ... as
-    labels.  Constructors that normalize conditional states out of
-    sub-normalized blocks validate those blocks at their own scale (where
-    roundoff is not amplified by 1/p) and pass ``validate_states=False``.
+    labels.  Conditional states go through ``as_state``: amplitude vectors
+    and density matrices are checked and diagonalised there, and spectral
+    states, which the constructors build and check at block scale, are
+    taken as they are.
     """
     recs = []
     for rec in settings:
         probs = np.asarray(rec.probabilities, dtype=float)
-        states = tuple(np.asarray(s, dtype=complex) for s in rec.states)
-        if len(states) != len(probs) or len(states) == 0:
+        if len(rec.states) != len(probs) or len(rec.states) == 0:
             raise ValidationError(f"setting {rec.label!r}: outcome count mismatch or empty")
-        outcomes = tuple(str(o) for o in rec.outcomes) or tuple(str(i) for i in range(len(states)))
-        if len(outcomes) != len(states) or len(set(outcomes)) != len(outcomes):
+        outcomes = tuple(str(o) for o in rec.outcomes) or tuple(str(i) for i in range(len(rec.states)))
+        if len(outcomes) != len(rec.states) or len(set(outcomes)) != len(outcomes):
             raise ValidationError(f"setting {rec.label!r}: need one distinct label per outcome, got {outcomes}")
         if float(probs.min()) < -TOL.prob_floor:
             raise ValidationError(f"setting {rec.label!r} has negative probability")
         dev = abs(float(probs.sum()) - 1.0)
         if dev > TOL.prob_sum:
             raise ValidationError(f"setting {rec.label!r}: probabilities sum to {probs.sum():.12f}")
+        states = tuple(
+            as_state(st, name=f"conditional state {rec.label}/{lab}") for lab, st in zip(outcomes, rec.states)
+        )
         for lab, st in zip(outcomes, states):
-            if st.shape[0] != d_b:
-                raise ValidationError(
-                    f"setting {rec.label!r}, outcome {lab}: dimension {st.shape[0]} != {d_b}"
-                )
-            if not validate_states:
-                continue
-            if st.ndim == 1:
-                require_state_vector(st, name=f"conditional state {rec.label}/{lab}")
-            else:
-                require_density_matrix(st, name=f"conditional state {rec.label}/{lab}")
+            if st.dim != d_b:
+                raise ValidationError(f"setting {rec.label!r}, outcome {lab}: dimension {st.dim} != {d_b}")
         recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
     if len(recs) > 1:
@@ -126,39 +139,24 @@ def make_assemblage(settings, d_b: int, validate_states: bool = True) -> Assembl
     return out
 
 
-def _normalize_block(block: np.ndarray, p: float, name: str) -> np.ndarray:
-    """Validate a sub-normalized conditional block at its own scale.
-
-    Positivity is checked before dividing by p so roundoff on small-probability
-    outcomes is not amplified into spurious rejections.
-    """
-    sym = (block + block.conj().T) / 2.0
-    if float(np.max(np.abs(block - sym))) > 1e-12:
-        raise ValidationError(f"{name} is not Hermitian")
-    lo = float(np.linalg.eigvalsh(sym)[0])
-    if lo < TOL.psd:
-        raise ValidationError(f"{name} has negative weight {lo:.3e} below {TOL.psd:.1e}")
-    cond = sym / p
-    if abs(float(np.trace(cond).real) - 1.0) > TOL.trace:
-        raise ValidationError(f"{name} fails to normalize")
-    return cond
+def _traced(blocks):
+    """(p, block) pairs of sub-normalized matrices p rho, with p = tr(block)."""
+    return ((float(np.trace(block).real), block) for block in blocks)
 
 
-def _setting(label, outcome_labels, blocks) -> SettingRecord:
+def _setting(label, outcome_labels, weighted) -> SettingRecord:
     """Condition on each outcome of one setting, keeping the survivors' labels.
 
-    ``blocks`` holds p(a) * state per outcome: an amplitude row sqrt(p) psi_a
-    or a sub-normalized matrix p rho_a.  Outcomes with p below
-    ``TOL.prob_floor`` are dropped; the others are normalized (matrices
-    through ``_normalize_block``) and keep their own label.
+    ``weighted`` holds (p(a), block) per outcome, the block being an amplitude
+    row sqrt(p) psi_a or a sub-normalized matrix p rho_a.  Outcomes with p
+    below ``TOL.prob_floor`` are dropped; the others are checked at block
+    scale and diagonalised by ``as_state`` and keep their own label.
     """
     probs, states, kept = [], [], []
-    for lab, block in zip(outcome_labels, blocks):
-        pure = block.ndim == 1
-        p = float(np.vdot(block, block).real if pure else np.trace(block).real)
+    for lab, (p, block) in zip(outcome_labels, weighted):
         if p < TOL.prob_floor:
             continue
-        states.append(block / np.sqrt(p) if pure else _normalize_block(block, p, f"conditional state {label}/{lab}"))
+        states.append(as_state(block, p, f"conditional state {label}/{lab}"))
         probs.append(p)
         kept.append(str(lab))
     return SettingRecord(
@@ -166,10 +164,16 @@ def _setting(label, outcome_labels, blocks) -> SettingRecord:
     )
 
 
-def assemblage_from_state(rho_ab, dims: tuple[int, int], povms) -> Assemblage:
-    """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each POVM setting "setting<i>".
+def _labelled(settings):
+    """(label, POVM) pairs from a dict or from a sequence of pairs."""
+    return settings.items() if isinstance(settings, dict) else settings
 
-    Outcomes keep their POVM labels.
+
+def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage:
+    """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each labelled POVM setting.
+
+    ``settings`` maps labels to POVMs (a dict or (label, POVM) pairs), as in
+    ``assemblage_from_pure_state``.  Outcomes keep their POVM labels.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     rho = require_density_matrix(rho_ab, name="rho_AB")
@@ -177,12 +181,12 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], povms) -> Assemblage:
         raise ValidationError(f"rho_AB dimension {rho.shape[0]} != {d_a} * {d_b}")
     four = rho.reshape(d_a, d_b, d_a, d_b)
     recs = []
-    for idx, povm in enumerate(povms):
+    for label, povm in _labelled(settings):
         if povm.dim != d_a:
-            raise ValidationError(f"POVM {idx} acts on dimension {povm.dim}, Alice has {d_a}")
+            raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
         blocks = (np.einsum("ij,jbic->bc", eff, four) for eff in povm.effects)
-        recs.append(_setting(f"setting{idx}", povm.labels, blocks))
-    return make_assemblage(recs, d_b, validate_states=False)
+        recs.append(_setting(label, povm.labels, _traced(blocks)))
+    return make_assemblage(recs, d_b)
 
 
 def assemblage_from_pure_state(state: BipartitePureState, settings) -> Assemblage:
@@ -195,15 +199,16 @@ def assemblage_from_pure_state(state: BipartitePureState, settings) -> Assemblag
     """
     psi = state.matrix
     recs = []
-    for label, povm in settings.items() if isinstance(settings, dict) else settings:
+    for label, povm in _labelled(settings):
         if povm.dim != state.d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {state.d_a}")
         if povm.vectors is not None:
-            blocks = (vec.conj() @ psi for vec in povm.vectors)
+            rows = (vec.conj() @ psi for vec in povm.vectors)
+            weighted = ((float(np.vdot(row, row).real), row) for row in rows)
         else:
-            blocks = (np.einsum("ij,jb,ic->bc", eff, psi, psi.conj()) for eff in povm.effects)
-        recs.append(_setting(label, povm.labels, blocks))
-    return make_assemblage(recs, state.d_b, validate_states=False)
+            weighted = _traced(np.einsum("ij,jb,ic->bc", eff, psi, psi.conj()) for eff in povm.effects)
+        recs.append(_setting(label, povm.labels, weighted))
+    return make_assemblage(recs, state.d_b)
 
 
 @dataclass(frozen=True)
@@ -241,10 +246,10 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
         if col_dev > TOL.weight_sum:
             raise ValidationError(f"response columns for {label!r} sum to 1 +/- {col_dev:.3e}")
         blocks = (sum(r[a, lam] * w[lam] * sigmas[lam] for lam in range(w.size)) for a in range(r.shape[0]))
-        recs.append(_setting(label, [str(a) for a in range(r.shape[0])], blocks))
+        recs.append(_setting(label, [str(a) for a in range(r.shape[0])], _traced(blocks)))
     if not recs:
         raise ValidationError("LHS model defines no settings")
-    return make_assemblage(recs, d_b, validate_states=False)
+    return make_assemblage(recs, d_b)
 
 
 def setting_average_variance(rec: SettingRecord, h: np.ndarray) -> float:
@@ -255,9 +260,8 @@ def setting_average_qfi(rec: SettingRecord, h: np.ndarray) -> float:
     return float(sum(p * qfi(st, h) for p, st in zip(rec.probabilities, rec.states)))
 
 
-def _best_setting(assemblage: Assemblage, h, average, pick) -> tuple[float, str]:
-    """Evaluate ``average`` on every setting; ``pick`` (min or max) keeps the first extremum."""
-    op = require_hermitian(h, name="H")
+def _best_setting(assemblage: Assemblage, op: np.ndarray, average, pick) -> tuple[float, str]:
+    """Evaluate ``average`` on every setting for an already validated H; ``pick`` (min or max) keeps the first extremum."""
     if not assemblage.settings:
         raise ValidationError("assemblage has no settings")
     return pick(((average(rec, op), rec.label) for rec in assemblage.settings), key=lambda v: v[0])
@@ -265,12 +269,12 @@ def _best_setting(assemblage: Assemblage, h, average, pick) -> tuple[float, str]
 
 def conditional_variance(assemblage: Assemblage, h) -> tuple[float, str]:
     """min over settings of sum_a p(a|X) Var[rho_a, H]; first setting wins ties."""
-    return _best_setting(assemblage, h, setting_average_variance, min)
+    return _best_setting(assemblage, require_hermitian(h, name="H"), setting_average_variance, min)
 
 
 def conditional_qfi(assemblage: Assemblage, h) -> tuple[float, str]:
     """max over settings of sum_a p(a|X) F_Q[rho_a, H]; first setting wins ties."""
-    return _best_setting(assemblage, h, setting_average_qfi, max)
+    return _best_setting(assemblage, require_hermitian(h, name="H"), setting_average_qfi, max)
 
 
 @dataclass(frozen=True)
@@ -288,12 +292,16 @@ class WitnessReport:
 
 
 def steering_witness(assemblage: Assemblage, h) -> WitnessReport:
-    """Evaluate the conditional QFI/variance gap; delta > tol flags steering."""
+    """Evaluate the conditional QFI/variance gap; delta > tol flags steering.
+
+    H is validated once here; the reduced-state bounds use Bob's reduced
+    spectrum (``Assemblage.reduced_spectrum``).
+    """
     op = require_hermitian(h, name="H")
-    cq, argmax = conditional_qfi(assemblage, op)
-    cv, argmin = conditional_variance(assemblage, op)
+    cq, argmax = _best_setting(assemblage, op, setting_average_qfi, max)
+    cv, argmin = _best_setting(assemblage, op, setting_average_variance, min)
     delta = cq / 4.0 - cv
-    reduced = assemblage.reduced_state()
+    reduced = assemblage.reduced_spectrum()
     return WitnessReport(
         cond_qfi=cq,
         cond_var=cv,
@@ -315,15 +323,15 @@ def reid_witness(assemblage: Assemblage, h, m) -> tuple[float, float]:
     """
     h = require_hermitian(h, name="H")
     m = require_hermitian(m, name="M")
-    cv_h, _ = conditional_variance(assemblage, h)
-    cv_m, _ = conditional_variance(assemblage, m)
-    reduced = assemblage.reduced_state()
-    comm_mean = complex(np.trace(reduced @ (h @ m - m @ h)))
-    rhs = abs(comm_mean) ** 2 / 4.0
+    cv_h, _ = _best_setting(assemblage, h, setting_average_variance, min)
+    cv_m, _ = _best_setting(assemblage, m, setting_average_variance, min)
+    # <[H, M]> = sum_i lam_i <v_i|[H, M]|v_i> on Bob's reduced spectrum; -i[H, M] is Hermitian
+    comm_sq = expectation(assemblage.reduced_spectrum(), -1j * (h @ m - m @ h)) ** 2
+    rhs = comm_sq / 4.0
     lhs = cv_h * cv_m
     if cv_m > 1e-14:
-        cq_h, _ = conditional_qfi(assemblage, h)
-        if abs(comm_mean) ** 2 / cv_m > cq_h + TOL.witness:
+        cq_h, _ = _best_setting(assemblage, h, setting_average_qfi, max)
+        if comm_sq / cv_m > cq_h + TOL.witness:
             raise NumericError(
                 "commutator lower bound exceeded the conditional QFI; numerics are inconsistent"
             )
@@ -374,5 +382,5 @@ def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Ass
         for t, rec in ((weight, rec1), (1.0 - weight, rec2)):
             for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities)):
                 blocks[lab] = blocks.get(lab, 0.0) + t * p * rec.state_matrix(i)
-        recs.append(_setting(rec1.label, blocks.keys(), blocks.values()))
-    return make_assemblage(recs, first.d_b, validate_states=False)
+        recs.append(_setting(rec1.label, blocks.keys(), _traced(blocks.values())))
+    return make_assemblage(recs, first.d_b)

@@ -20,7 +20,7 @@ from .assemblage import (
     conditional_variance,
     steering_witness,
 )
-from .linalg import TOL, NumericError, ValidationError
+from .linalg import TOL, NumericError, Spectrum, ValidationError
 from .metrology import POVM, povm_from_basis, qfi, variance
 from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure
 from .sampling import epr_product_check
@@ -71,7 +71,7 @@ def ghz_assemblage(n_bob: int, phi: float = 0.0) -> Assemblage:
 
 def ghz_noise_assemblage(n_bob: int, phi: float, p: float) -> Assemblage:
     rho = ghz_white_noise(n_bob + 1, phi, p)
-    return assemblage_from_state(rho, (2, 2**n_bob), [qubit_basis_povm("z"), qubit_basis_povm("x")])
+    return assemblage_from_state(rho, (2, 2**n_bob), [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))])
 
 
 def spin_z_setting(n_particles: int) -> POVM:
@@ -250,20 +250,22 @@ def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuant
         m1_red += float(np.dot(weights, jz_vals))
         m2_red += float(np.dot(weights, jz_vals**2))
 
-        # Reduced state restricted to this sector is diagonal; its QFI block
-        # enters with the sector weight.
+        # Reduced state restricted to this sector is diagonal (V = I, no
+        # decomposition); its QFI block enters with the sector weight.
         occupied = weights > 0.0
-        if int(occupied.sum()) > 0:
-            block = np.diag(weights[occupied] / sector_weight).astype(complex)
+        r = int(occupied.sum())
+        if r > 0:
+            block = Spectrum(weights[occupied] / sector_weight, np.eye(r, dtype=complex))
             h_block = np.diag(jz_vals[occupied]).astype(complex)
             qfi_red += sector_weight * qfi(block, h_block)
 
         # J_x^A readout: rotate the sector amplitudes with the quarter-turn
         # overlap matrix; conditional states stay pure.
         w = np.asarray(wigner_rotation_matrix(n_a, math.pi / 2.0))
-        probs_x = (w * w).T @ weights
-        m1 = (w * w).T @ (weights * jz_vals)
-        m2 = (w * w).T @ (weights * jz_vals**2)
+        overlap = (w * w).T
+        probs_x = overlap @ weights
+        m1 = overlap @ (weights * jz_vals)
+        m2 = overlap @ (weights * jz_vals**2)
         live = probs_x > TOL.prob_floor
         spread = m2[live] - m1[live] ** 2 / probs_x[live]  # p(a) Var[J_z^B] per outcome
         worst = float(spread.min(initial=0.0))

@@ -98,18 +98,13 @@ def require_state_vector(vector, name: str = "state vector") -> np.ndarray:
     return out
 
 
-def require_dim(operator: np.ndarray, dim: int, name: str = "operator") -> np.ndarray:
-    if operator.shape != (dim, dim):
-        raise ValidationError(f"{name} has shape {operator.shape}, expected ({dim}, {dim})")
-    return operator
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
+    """Spectral form V diag(lam) V^dag of a Hermitian operator.
 
-    ``eigenvalues`` ascending; ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns.
+    ``eigenvectors`` holds r <= d orthonormal columns matching
+    ``eigenvalues`` (ascending when they come from ``hermitian_eig``).  A
+    state is stored this way on its support: r = 1 for a pure state.
     """
 
     eigenvalues: np.ndarray
@@ -117,11 +112,16 @@ class Spectrum:
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvectors.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dagger(v)
+
+    def support(self) -> "Spectrum":
+        """The part with strictly positive eigenvalues."""
+        keep = self.eigenvalues > 0.0
+        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep])
 
 
 def hermitian_eig(operator, tol: float = TOL.herm) -> Spectrum:

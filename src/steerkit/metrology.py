@@ -1,8 +1,10 @@
 """Core metrological functionals: variance, quantum/classical Fisher information.
 
-States may be passed either as density matrices (2-D arrays) or as pure-state
-amplitude vectors (1-D arrays); the pure-state paths use the exact identities
-F_Q = 4 Var and <O> = <psi|O|psi> instead of an eigendecomposition.
+Every functional works on the spectral form rho = V diag(lam) V^dag of a state
+(``linalg.Spectrum``), where the r columns of V span its support.  ``as_state``
+is the one coercion: an amplitude vector is the r = 1 case, a density matrix
+gets one eigendecomposition, and a Spectrum is taken as built.  With H V in
+hand, expectation values, variances and the QFI cost O(d^2 r).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import numpy as np
 from .linalg import (
     TOL,
     NumericError,
+    Spectrum,
     ValidationError,
     as_complex_matrix,
     as_complex_vector,
     dagger,
-    hermitian_eig,
     outer,
     require_hermitian,
+    require_state_vector,
 )
 
 
@@ -87,35 +90,50 @@ def _complete_povm(total: np.ndarray, effects, labels, vectors=None) -> POVM:
     return POVM(effects=tuple(effects), labels=labels, vectors=vectors)
 
 
-def _check_dims(state: np.ndarray, op: np.ndarray, name: str) -> None:
-    d = state.shape[0]
-    if op.shape != (d, d):
-        raise ValidationError(f"{name} has shape {op.shape}, state dimension is {d}")
+def as_state(state, p: float = 1.0, name: str = "state") -> Spectrum:
+    """Spectral form of the state ``state / p`` on its support.
+
+    A ``Spectrum`` is taken as built.  An amplitude vector sqrt(p) psi becomes
+    the rank-1 state psi, checked for unit norm.  A matrix p rho gets one
+    ``eigh`` whose eigenvalues are the positivity check; Hermiticity,
+    positivity and the trace are judged at the block's own scale, before the
+    division by p, so roundoff on small-probability blocks is not amplified
+    into spurious rejections.  Eigenvalues <= 0 are dropped.
+    """
+    if isinstance(state, Spectrum):
+        return state
+    st = np.asarray(state, dtype=complex)
+    if st.ndim == 1:
+        return Spectrum(np.ones(1), require_state_vector(st / np.sqrt(p), name)[:, None])
+    lam, vecs = np.linalg.eigh(require_hermitian(st, name=name))
+    if lam[0] < TOL.psd:
+        raise ValidationError(f"{name} has negative eigenvalue {lam[0]:.3e} below {TOL.psd:.1e}")
+    trace = float(lam.sum()) / p
+    if abs(trace - 1.0) > TOL.trace:
+        raise ValidationError(f"{name} eigenvalues sum to {trace:.12f}, not 1")
+    return Spectrum(lam / p, vecs).support()
+
+
+def _rotate(state, operator, name: str) -> tuple[Spectrum, np.ndarray]:
+    """The state's spectral form and H V, after checking dimensions."""
+    st = as_state(state)
+    op = as_complex_matrix(operator, name)
+    if op.shape != (st.dim, st.dim):
+        raise ValidationError(f"{name} has shape {op.shape}, state dimension is {st.dim}")
+    return st, op @ st.eigenvectors
 
 
 def expectation(state, operator) -> float:
-    """<O> for a density matrix or amplitude vector; real part returned."""
-    op = as_complex_matrix(operator, "operator")
-    st = np.asarray(state, dtype=complex)
-    _check_dims(st, op, "operator")
-    if st.ndim == 1:
-        return float(np.vdot(st, op @ st).real)
-    return float(np.trace(st @ op).real)
+    """<O> = sum_i lam_i <v_i|O|v_i>; real part returned."""
+    st, ov = _rotate(state, operator, "operator")
+    return float(st.eigenvalues @ np.vecdot(st.eigenvectors, ov, axis=0).real)
 
 
 def variance(state, observable) -> float:
-    """Var[rho, H] = <H^2> - <H>^2, clamped at zero against roundoff."""
-    op = as_complex_matrix(observable, "observable")
-    st = np.asarray(state, dtype=complex)
-    _check_dims(st, op, "observable")
-    if st.ndim == 1:
-        hv = op @ st
-        second = float(np.vdot(hv, hv).real)
-        first = float(np.vdot(st, hv).real)
-    else:
-        hrho = op @ st
-        second = float(np.trace(op @ hrho).real)
-        first = float(np.trace(hrho).real)
+    """Var = sum_i lam_i ||H v_i||^2 - (sum_i lam_i H_ii)^2, clamped at zero against roundoff."""
+    st, hv = _rotate(state, observable, "observable")
+    second = float(st.eigenvalues @ np.vecdot(hv, hv, axis=0).real)
+    first = float(st.eigenvalues @ np.vecdot(st.eigenvectors, hv, axis=0).real)
     val = second - first * first
     if val < -1e-12:
         raise NumericError(f"variance came out {val:.3e}; inputs are inconsistent")
@@ -125,62 +143,55 @@ def variance(state, observable) -> float:
 def qfi(state, generator, eps: float = TOL.qfi_eigen) -> float:
     """Quantum Fisher information for unitary encoding exp(-i theta H).
 
-    Density matrices go through the spectral sum
-    2 sum_{i,j: l_i+l_j > eps} (l_i-l_j)^2/(l_i+l_j) |<i|H|j>|^2;
-    eigenvalue pairs with l_i + l_j <= eps are skipped, which removes the
-    0/0 terms of rank-deficient states deterministically.  Pure-state
-    vectors use the exact identity F_Q = 4 Var.
+    Rank-r spectral sum over the support (Liu, Jing, Zhong and Wang,
+    Commun. Theor. Phys. 61, 45 (2014)):
+
+        2 sum_{i,j <= r} (l_i-l_j)^2/(l_i+l_j) |H_ij|^2
+        + 4 sum_i l_i (||H v_i||^2 - sum_{j <= r} |H_ij|^2),
+
+    where the second line adds back the support-to-kernel pairs exactly.
+    Support pairs with l_i + l_j <= eps are skipped, which removes the 0/0
+    terms deterministically.  A pure state gives F_Q = 4 Var.
     """
-    op = as_complex_matrix(generator, "generator")
-    st = np.asarray(state, dtype=complex)
-    _check_dims(st, op, "generator")
-    if st.ndim == 1:
-        return 4.0 * variance(st, op)
-    spec = hermitian_eig(st, tol=1e-9)
-    lam = spec.eigenvalues
-    h_eig = dagger(spec.eigenvectors) @ op @ spec.eigenvectors
+    st, hv = _rotate(state, generator, "generator")
+    lam = st.eigenvalues
+    h2 = np.abs(dagger(st.eigenvectors) @ hv) ** 2
     pair_sum = lam[:, None] + lam[None, :]
-    mask = pair_sum > eps
-    diff = lam[:, None] - lam[None, :]
-    weights = np.zeros_like(pair_sum)
-    weights[mask] = diff[mask] ** 2 / pair_sum[mask]
-    val = 2.0 * float(np.sum(weights * np.abs(h_eig) ** 2))
+    weights = np.divide((lam[:, None] - lam[None, :]) ** 2, pair_sum, out=np.zeros_like(pair_sum), where=pair_sum > eps)
+    kernel = np.vecdot(hv, hv, axis=0).real - h2.sum(axis=1)
+    val = 2.0 * float(np.sum(weights * h2)) + 4.0 * float(lam @ kernel)
     return max(val, 0.0)
 
 
 def qfi_white_noise(psi, generator, p: float) -> float:
     """Closed-form QFI of p|psi><psi| + (1-p) I/d under generator H."""
     vec = as_complex_vector(psi, "psi")
-    op = as_complex_matrix(generator, "generator")
-    _check_dims(vec, op, "generator")
+    var = variance(vec, generator)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be a probability, got {p}")
-    d = vec.shape[0]
     if p == 0.0:
         return 0.0
-    return 4.0 * p * p / (p + 2.0 * (1.0 - p) / d) * variance(vec, op)
+    return 4.0 * p * p / (p + 2.0 * (1.0 - p) / vec.shape[0]) * var
 
 
 def cfi(povm: POVM, state, generator) -> float:
     """Classical Fisher information at theta = 0 of p(x|theta) = tr[E_x rho_theta].
 
-    The derivative is analytic: d_theta p(x|0) = -i tr(E_x [H, rho]).
+    The derivative is analytic: d_theta p(x|0) = -i tr(E_x [H, rho])
+    = 2 sum_i lam_i Im <E_x v_i|H v_i>.
     Outcomes with p < prob_floor and |dp| < prob_floor contribute 0; an
     outcome with p < prob_floor but |dp| >= prob_floor makes the Fisher
     information singular and raises.
     """
-    op = as_complex_matrix(generator, "generator")
-    st = np.asarray(state, dtype=complex)
-    if st.ndim == 1:
-        st = outer(st)
-    _check_dims(st, op, "generator")
-    if povm.dim != st.shape[0]:
-        raise ValidationError(f"POVM dimension {povm.dim} does not match state dimension {st.shape[0]}")
-    comm = op @ st - st @ op
+    st, hv = _rotate(state, generator, "generator")
+    if povm.dim != st.dim:
+        raise ValidationError(f"POVM dimension {povm.dim} does not match state dimension {st.dim}")
+    lam, v = st.eigenvalues, st.eigenvectors
     total = 0.0
     for eff, lab in zip(povm.effects, povm.labels):
-        p = float(np.trace(eff @ st).real)
-        dp = float((-1j * np.trace(eff @ comm)).real)
+        ev = eff @ v
+        p = float(lam @ np.vecdot(v, ev, axis=0).real)
+        dp = 2.0 * float(lam @ np.vecdot(ev, hv, axis=0).imag)
         if p < TOL.prob_floor:
             if abs(dp) < TOL.prob_floor:
                 continue
@@ -196,31 +207,25 @@ def qfi_commutator_bound(state, generator, observable) -> float:
     """Moment-based lower bound |<[H, M]>|^2 / Var[rho, M] on the QFI."""
     h = as_complex_matrix(generator, "generator")
     m = as_complex_matrix(observable, "observable")
-    var_m = variance(state, m)
+    st = as_state(state)
+    var_m = variance(st, m)
     if var_m <= 1e-14:
         raise NumericError("Var[rho, M] vanishes; the commutator bound is undefined")
-    st = np.asarray(state, dtype=complex)
-    comm = h @ m - m @ h
-    mean_comm = complex(np.vdot(st, comm @ st)) if st.ndim == 1 else complex(np.trace(st @ comm))
-    return abs(mean_comm) ** 2 / var_m
+    return expectation(st, -1j * (h @ m - m @ h)) ** 2 / var_m
 
 
 def var_qfi_gap(state, generator, eps: float = TOL.qfi_eigen):
     """Var - F_Q/4 via its explicit nonnegative decomposition.
 
     Returns ``(gap, saturated)``.  Using the double-sum decomposition
-    2 sum_{i != j} l_i l_j/(l_i+l_j) |H_ij|^2 + Var_l(H_ii) avoids the
-    cancellation of subtracting two large functionals; the gap vanishes
-    exactly when Pi H Pi is proportional to Pi on the support of rho.
+    2 sum_{i != j} l_i l_j/(l_i+l_j) |H_ij|^2 + Var_l(H_ii) over the support
+    avoids the cancellation of subtracting two large functionals (kernel
+    directions carry l = 0 and drop out); the gap vanishes exactly when
+    Pi H Pi is proportional to Pi on the support of rho.
     """
-    op = as_complex_matrix(generator, "generator")
-    st = np.asarray(state, dtype=complex)
-    _check_dims(st, op, "generator")
-    if st.ndim == 1:
-        st = outer(st)
-    spec = hermitian_eig(st, tol=1e-9)
-    lam = np.clip(spec.eigenvalues, 0.0, None)
-    h_eig = dagger(spec.eigenvectors) @ op @ spec.eigenvectors
+    st, hv = _rotate(state, generator, "generator")
+    lam = st.eigenvalues
+    h_eig = dagger(st.eigenvectors) @ hv
     pair_sum = lam[:, None] + lam[None, :]
     mask = pair_sum > eps
     np.fill_diagonal(mask, False)

@@ -218,25 +218,26 @@ def _setting_matrices(rec: SettingRecord, gens: np.ndarray) -> tuple[np.ndarray,
     """Averaged QFI matrix Q_X and covariance matrix V_X of one setting.
 
     For H = sum_a c_a G_a the setting's averaged QFI is c^T Q_X c and its
-    averaged variance c^T V_X c.  Each conditional state is diagonalised once;
-    Q_X uses the spectral weights 2 (l_i - l_j)^2 / (l_i + l_j) of ``qfi`` with
-    the same cut at ``TOL.qfi_eigen``.
+    averaged variance c^T V_X c.  Both are read off the stored spectra with
+    the rank-r forms of ``qfi`` and ``variance``: the spectral weights
+    2 (l_i - l_j)^2 / (l_i + l_j) on the support, cut at ``TOL.qfi_eigen``,
+    plus the support-to-kernel term 4 sum_i l_i (<G_a v_i|G_b v_i> - sum_j G_a,ij conj(G_b,ij)).
     """
     n = len(gens)
-    lam, vecs = np.linalg.eigh(np.stack([rec.state_matrix(i) for i in range(rec.n_outcomes)]))
-    rot = vecs.conj().swapaxes(1, 2)[:, None] @ gens[None] @ vecs[:, None]  # (outcome, generator, i, j)
-    pair = lam[:, :, None] + lam[:, None, :]
-    diff = lam[:, :, None] - lam[:, None, :]
-    w = np.divide(2.0 * diff**2, pair, out=np.zeros_like(pair), where=pair > TOL.qfi_eigen)
-    p = rec.probabilities[:, None, None]
-    flat = rot.transpose(1, 0, 2, 3).reshape(n, -1)
-
-    def form(weights: np.ndarray) -> np.ndarray:  # sum_k,ij weights_kij Re(G_a,ij conj(G_b,ij))
-        return ((flat * weights.reshape(-1)) @ dagger(flat)).real
-
-    means = np.einsum("ki,kaii->ka", lam, rot).real
-    second = form(np.broadcast_to(p * lam[:, :, None], pair.shape))
-    return form(p * w), second - (rec.probabilities[:, None] * means).T @ means
+    q, cov = np.zeros((n, n)), np.zeros((n, n))
+    for p, st in zip(rec.probabilities, rec.states):
+        lam, v = st.eigenvalues, st.eigenvectors
+        gv = gens @ v  # (generator, d, r): G_a v_i in column i
+        rot = dagger(v) @ gv  # G_a,ij on the support
+        pair = lam[:, None] + lam[None, :]
+        w = np.divide(2.0 * (lam[:, None] - lam[None, :]) ** 2, pair, out=np.zeros_like(pair), where=pair > TOL.qfi_eigen)
+        flat = rot.reshape(n, -1)
+        norms = ((gv * lam).reshape(n, -1) @ dagger(gv.reshape(n, -1))).real  # sum_i l_i Re<G_a v_i|G_b v_i>
+        support = ((flat * (w - 4.0 * lam[:, None]).reshape(-1)) @ dagger(flat)).real
+        mean = rot.diagonal(axis1=1, axis2=2).real @ lam
+        q += p * (support + 4.0 * norms)
+        cov += p * (norms - np.outer(mean, mean))
+    return q, cov
 
 
 def s_max_lower_bound(assemblage: Assemblage) -> float:
@@ -258,14 +259,12 @@ def s_max_lower_bound(assemblage: Assemblage) -> float:
 
 
 def multi_generator_sum(assemblage: Assemblage, basis: GeneratorBasis) -> tuple[float, float]:
-    """Summed conditional QFI over a generator basis and its LHS bound 4(d-1)."""
+    """Summed conditional QFI sum_i max_X (Q_X)_ii over a generator basis, and its LHS bound 4(d-1)."""
     if basis.dim != assemblage.d_b:
         raise ValidationError(f"basis dimension {basis.dim} != Bob dimension {assemblage.d_b}")
-    value = 0.0
-    for gen in basis.generators:
-        cq, _ = conditional_qfi(assemblage, gen)
-        value += cq
-    return value, 4.0 * (basis.dim - 1)
+    gens = np.stack(basis.generators)
+    best = np.max([np.diagonal(_setting_matrices(rec, gens)[0]) for rec in assemblage.settings], axis=0)
+    return float(sum(best)), 4.0 * (basis.dim - 1)
 
 
 def pure_multi_generator_value(p) -> float:

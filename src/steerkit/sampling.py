@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import Assemblage, conditional_variance
-from .linalg import NumericError, ValidationError, hermitian_eig, outer, require_hermitian, unitary_from_generator
-from .metrology import POVM, expectation, variance
+from .linalg import NumericError, ValidationError, hermitian_eig, require_hermitian, unitary_from_generator
+from .metrology import POVM, as_state, expectation, variance
 
 _FD_STEP = 1e-5  # finite-difference step for the derivative cross-check
 
@@ -27,12 +27,10 @@ def _rng(*key_words: int) -> np.random.Generator:
 
 def sample_outcomes(state, povm: POVM, n: int, rng_seed: int) -> np.ndarray:
     """Multinomial outcome counts for measuring ``povm`` on ``state``."""
-    st = np.asarray(state, dtype=complex)
-    if st.ndim == 1:
-        st = outer(st)
-    if povm.dim != st.shape[0]:
-        raise ValidationError(f"POVM dimension {povm.dim} != state dimension {st.shape[0]}")
-    probs = np.array([float(np.trace(e @ st).real) for e in povm.effects])
+    st = as_state(state)
+    if povm.dim != st.dim:
+        raise ValidationError(f"POVM dimension {povm.dim} != state dimension {st.dim}")
+    probs = np.array([expectation(st, e) for e in povm.effects])
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {probs.sum():.12f}, not 1")
     probs = np.clip(probs, 0.0, None)
@@ -130,12 +128,8 @@ def moment_estimator_validation(
         m_spec = hermitian_eig(m_a)
         m_est = expectation(st, m_a)
         var_m_est += p_a * variance(st, m_a)
-        if st.ndim == 1:
-            rotated = u @ st
-            p_m = np.abs(m_spec.eigenvectors.conj().T @ rotated) ** 2
-        else:
-            rotated = u @ st @ u.conj().T
-            p_m = np.einsum("ij,ji->i", m_spec.eigenvectors.conj().T @ rotated, m_spec.eigenvectors).real
+        # p(m) = sum_i lam_i |<m|U v_i>|^2 on the rotated conditional state
+        p_m = np.abs(m_spec.eigenvectors.conj().T @ (u @ st.eigenvectors)) ** 2 @ st.eigenvalues
         joint.append(p_a * np.clip(p_m, 0.0, None))
         offsets.append(m_est - m_spec.eigenvalues)
     joint = np.concatenate(joint)

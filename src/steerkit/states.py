@@ -209,6 +209,12 @@ def partition_labels(n: int) -> tuple[tuple, ...]:
     return tuple((n_x, k_x) for n_x in range(n + 1) for k_x in range(n_x + 1))
 
 
+@lru_cache(maxsize=16)
+def _log_factorials(n: int) -> tuple[float, ...]:
+    """log(m!) = lgamma(m + 1) for m = 0..n."""
+    return tuple(lgamma(m + 1) for m in range(n + 1))
+
+
 def partition_sector_amplitudes(n: int, k: int, p: float, n_a: int) -> np.ndarray:
     """Beam-splitter amplitudes of a k-excitation Dicke state in Alice's N_A = n_a sector.
 
@@ -222,13 +228,13 @@ def partition_sector_amplitudes(n: int, k: int, p: float, n_a: int) -> np.ndarra
     lo, hi = dicke_bounds(k, n_a, n - n_a)
     if (p == 0.0 and n_a > 0) or (p == 1.0 and n_a < n):
         return amps
+    lf = _log_factorials(n)
+    log_p = n_a * math.log(p) + (n - n_a) * math.log1p(-p) if 0.0 < p < 1.0 else 0.0
     for k_a in range(lo, hi + 1):
         log_w = (
-            lgamma(k + 1) - lgamma(k_a + 1) - lgamma(k - k_a + 1)
-            + lgamma(n - k + 1) - lgamma(n_a - k_a + 1) - lgamma(n - k - n_a + k_a + 1)
-        )
-        if 0.0 < p < 1.0:
-            log_w += n_a * math.log(p) + (n - n_a) * math.log1p(-p)
+            lf[k] - lf[k_a] - lf[k - k_a]
+            + lf[n - k] - lf[n_a - k_a] - lf[n - k - n_a + k_a]
+        ) + log_p
         amps[k_a] = math.exp(0.5 * log_w)
     return amps
 

@@ -93,7 +93,7 @@ def test_criterion_02_ghz_white_noise():
             p_star = (-1.0 + math.sqrt(1.0 + 4.0 * n_bob)) / (2.0 * n_bob)
             for p in p_grid:
                 asm = ghz_noise_assemblage(n_bob, 0.0, p)
-                rec = asm.setting("setting1")  # sigma_x
+                rec = asm.setting("sx")  # sigma_x
                 f_x = sum(
                     pa * qfi(st, jz) for pa, st in zip(rec.probabilities, rec.states)
                 )
@@ -333,7 +333,7 @@ def test_criterion_11_monte_carlo_estimator():
                 continue
             spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
             joint = tensor(np.diag([0.5, 0.5]).astype(complex), rho_b)
-            asm = assemblage_from_state(joint, (2, 2), [qubit_basis_povm("z")])
+            asm = assemblage_from_state(joint, (2, 2), [("sz", qubit_basis_povm("z"))])
             check = epr_product_check(
                 asm, h, m, theta_true=min(0.01, 0.05 / spectral_radius), n=n, reps=reps,
                 seed=2000 + tested,

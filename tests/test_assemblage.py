@@ -22,6 +22,8 @@ from steerkit.experiments import (
     bell_assemblage,
     cat_assemblage,
     ghz_assemblage,
+    ghz_noise_assemblage,
+    ghz_noise_closed_forms,
     qubit_basis_povm,
     split_dicke_assemblage,
 )
@@ -59,14 +61,14 @@ class TestConstruction:
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
         joint = tensor(rho_a, rho_b)
-        asm = assemblage_from_state(joint, (2, 3), [qubit_basis_povm("z"), qubit_basis_povm("x")])
+        asm = assemblage_from_state(joint, (2, 3), [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))])
         for rec in asm.settings:
             for st in rec.states:
-                assert np.max(np.abs(st - rho_b)) < 1e-10
+                assert np.max(np.abs(st.reconstruct() - rho_b)) < 1e-10
 
     def test_bell_sigma_z_conditionals(self):
         bell = ghz_vector(2, 0.0)
-        asm = assemblage_from_state(np.outer(bell, bell.conj()), (2, 2), [qubit_basis_povm("z")])
+        asm = assemblage_from_state(np.outer(bell, bell.conj()), (2, 2), [("sz", qubit_basis_povm("z"))])
         rec = asm.settings[0]
         assert np.allclose(rec.probabilities, [0.5, 0.5])
         assert np.allclose(rec.state_matrix(0), np.diag([1.0, 0.0]))
@@ -80,7 +82,7 @@ class TestConstruction:
         targets = [ghz_vector(n_bob, phi), ghz_vector(n_bob, phi + np.pi)]
         assert np.allclose(rec.probabilities, [0.5, 0.5])
         for st, ref in zip(rec.states, targets):
-            overlap = abs(np.vdot(st, ref))
+            overlap = abs(np.vdot(st.eigenvectors[:, 0], ref))
             assert abs(overlap - 1.0) < 1e-10
 
     def test_pure_and_dense_routes_agree(self, rng):
@@ -88,7 +90,7 @@ class TestConstruction:
         state = BipartitePureState(dims=(2, 3), amplitudes=vec)
         povms = [qubit_basis_povm("z"), qubit_basis_povm("y")]
         fast = assemblage_from_pure_state(state, [("z", povms[0]), ("y", povms[1])])
-        dense = assemblage_from_state(np.outer(vec, vec.conj()), (2, 3), povms)
+        dense = assemblage_from_state(np.outer(vec, vec.conj()), (2, 3), [("z", povms[0]), ("y", povms[1])])
         h = random_hermitian(rng, 3)
         assert abs(conditional_qfi(fast, h)[0] - conditional_qfi(dense, h)[0]) < 1e-9
         assert abs(conditional_variance(fast, h)[0] - conditional_variance(dense, h)[0]) < 1e-10
@@ -129,7 +131,7 @@ class TestLHS:
         rec = asm.settings[0]
         assert np.allclose(rec.probabilities, [0.3, 0.7])
         for st in rec.states:
-            assert np.max(np.abs(st - sigma)) < 1e-12
+            assert np.max(np.abs(st.reconstruct() - sigma)) < 1e-12
 
     def test_deterministic_response(self, rng):
         sigmas = tuple(random_density(rng, 2) for _ in range(3))
@@ -140,7 +142,7 @@ class TestLHS:
         )
         asm = assemblage_from_lhs(model)
         for st, sigma in zip(asm.settings[0].states, sigmas):
-            assert np.max(np.abs(st - sigma)) < 1e-12
+            assert np.max(np.abs(st.reconstruct() - sigma)) < 1e-12
 
     def test_lhs_never_steers(self, rng):
         for _ in range(200):
@@ -178,7 +180,7 @@ class TestConditionalQuantities:
     def test_product_state_collapses(self, rng):
         rho_b = random_density(rng, 2)
         joint = tensor(random_density(rng, 2), rho_b)
-        asm = assemblage_from_state(joint, (2, 2), [qubit_basis_povm("z"), qubit_basis_povm("x")])
+        asm = assemblage_from_state(joint, (2, 2), [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))])
         h = random_hermitian(rng, 2)
         report = steering_witness(asm, h)
         assert abs(report.cond_var - variance(rho_b, h)) < 1e-10
@@ -343,8 +345,8 @@ class TestBoundsAndStructure:
 
         fine_effects = [piece for eff in coarse.effects for piece in split(eff)]
         fine = make_povm(fine_effects)
-        asm_coarse = assemblage_from_state(state_rho, (2, 2), [coarse])
-        asm_fine = assemblage_from_state(state_rho, (2, 2), [fine])
+        asm_coarse = assemblage_from_state(state_rho, (2, 2), [("coarse", coarse)])
+        asm_fine = assemblage_from_state(state_rho, (2, 2), [("fine", fine)])
         assert conditional_qfi(asm_fine, h)[0] >= conditional_qfi(asm_coarse, h)[0] - 1e-9
         assert conditional_variance(asm_fine, h)[0] <= conditional_variance(asm_coarse, h)[0] + 1e-9
 
@@ -367,7 +369,7 @@ class TestTinyProbabilityOutcomes:
         rho_a = np.diag([1 - eps, eps]).astype(complex)
         rho_b = random_density(rng, 16)
         joint = tensor(rho_a, rho_b)
-        asm = assemblage_from_state(joint, (2, 16), [qubit_basis_povm("z")])
+        asm = assemblage_from_state(joint, (2, 16), [("sz", qubit_basis_povm("z"))])
         assert np.min(asm.settings[0].probabilities) == pytest.approx(eps, rel=1e-6)
         h = random_hermitian(rng, 16)
         report = steering_witness(asm, h)
@@ -451,3 +453,65 @@ class TestOutcomeIdentity:
         )
         with pytest.raises(ValidationError, match="distinct label per outcome"):
             make_assemblage([rec], 2)
+
+
+class TestSpectra:
+    """Conditional and reduced states are diagonalised once, or not at all when pure."""
+
+    @pytest.mark.parametrize("case", ["pure", "mixed"])
+    def test_reduced_spectrum_matches_eigh(self, rng, case):
+        if case == "pure":  # F has 2 columns < d_B = 5: thin SVD
+            state = BipartitePureState(dims=(2, 5), amplitudes=random_pure(rng, 10))
+            asm = assemblage_from_pure_state(state, [("z", qubit_basis_povm("z")), ("x", qubit_basis_povm("x"))])
+        else:  # F has 2 * 3 columns >= d_B = 3: eigh of F F^dag
+            rho = 0.7 * outer(random_pure(rng, 6)) + 0.3 * random_density(rng, 6)
+            asm = assemblage_from_state(rho, (2, 3), [("z", qubit_basis_povm("z"))])
+        spec = asm.reduced_spectrum()
+        dense = asm.reduced_state()
+        padded = np.concatenate([spec.eigenvalues, np.zeros(asm.d_b - spec.eigenvalues.size)])
+        assert np.allclose(np.sort(padded), np.linalg.eigvalsh(dense), atol=1e-14)
+        assert np.max(np.abs(spec.reconstruct() - dense)) < 1e-14
+        h = random_hermitian(rng, asm.d_b)
+        assert abs(qfi(spec, h) - qfi(dense, h)) < 1e-12
+        assert abs(variance(spec, h) - variance(dense, h)) < 1e-12
+
+    def test_pure_ghz_witness_never_diagonalises_bob(self, monkeypatch):
+        def small_only(fn):
+            def guarded(a, *args, **kwargs):
+                if np.shape(a)[-1] > 2:
+                    raise AssertionError(f"{fn.__name__} called on a {np.shape(a)} matrix")
+                return fn(a, *args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", small_only(np.linalg.eigvalsh))
+        report = steering_witness(ghz_assemblage(11), collective_jz(11))
+        assert abs(report.cond_qfi - 121.0) < 1e-9 and abs(report.cond_var) < 1e-12
+        assert abs(report.var_reduced - 121.0 / 4.0) < 1e-9 and abs(report.qfi_reduced) < 1e-9
+
+    def test_each_mixed_block_diagonalised_once(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigh(a, *args, **kw))
+        asm = ghz_noise_assemblage(3, 0.0, 0.5)
+        assert shapes == [(8, 8)] * 4  # two settings, two outcomes
+        steering_witness(asm, collective_jz(3))
+        assert shapes == [(8, 8)] * 5  # plus Bob's reduced state
+
+    def test_witness_validates_h_once(self, monkeypatch):
+        import steerkit.assemblage as module
+
+        names = []
+        check = module.require_hermitian
+        monkeypatch.setattr(module, "require_hermitian", lambda m, **kw: names.append(kw.get("name")) or check(m, **kw))
+        steering_witness(ghz_assemblage(3), collective_jz(3))
+        assert names == ["H"]
+
+    def test_pure_and_noisy_ghz_share_setting_labels(self):
+        # 0.5 |GHZ><GHZ| + 0.5 (0.5 |GHZ><GHZ| + 0.5 I/d) is the p = 0.75 noisy GHZ state
+        mixed = mix_assemblages(ghz_assemblage(2), ghz_noise_assemblage(2, 0.0, 0.5), 0.5)
+        assert mixed.labels == ("sz", "sx")
+        f_ref, v_ref = ghz_noise_closed_forms(2, 0.75)
+        assert abs(conditional_qfi(mixed, collective_jz(2))[0] - f_ref) < 1e-12
+        assert abs(conditional_variance(mixed, collective_jz(2))[0] - v_ref) < 1e-12

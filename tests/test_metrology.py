@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from steerkit.linalg import NumericError, ValidationError, outer
+from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, outer
 from steerkit.metrology import (
+    as_state,
     cfi,
     make_povm,
     povm_from_basis,
@@ -113,6 +114,52 @@ class TestQFI:
             f0 = qfi(rho1, h)
             f1 = qfi(u @ rho1 @ u.conj().T, u @ h @ u.conj().T)
             assert abs(f0 - f1) <= 1e-9 * max(f0, 1.0)
+
+
+def dense_qfi(rho, h, eps=TOL.qfi_eigen):
+    """Full-eigenbasis spectral sum 2 sum_{l_i + l_j > eps} (l_i - l_j)^2 / (l_i + l_j) |H_ij|^2."""
+    lam, vecs = np.linalg.eigh(rho)
+    h2 = np.abs(vecs.conj().T @ h @ vecs) ** 2
+    pair = lam[:, None] + lam[None, :]
+    live = pair > eps
+    return 2.0 * float(np.sum((lam[:, None] - lam[None, :])[live] ** 2 / pair[live] * h2[live]))
+
+
+def dense_variance(rho, h):
+    return float(np.trace(rho @ h @ h).real - np.trace(rho @ h).real ** 2)
+
+
+def random_spectral_state(rng, d, r):
+    """rho = V diag(lam) V^dag with r random orthonormal columns and random weights."""
+    return Spectrum(rng.dirichlet(np.ones(r)), random_unitary(rng, d)[:, :r])
+
+
+class TestRankR:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_spectral_states_match_dense_eigh(self, rng, d):
+        for r in sorted({1, 2, d - 1, d}):
+            for _ in range(5):
+                st = random_spectral_state(rng, d, r)
+                h = random_hermitian(rng, d)
+                rho = st.reconstruct()
+                f_ref, v_ref = dense_qfi(rho, h), dense_variance(rho, h)
+                assert abs(qfi(st, h) - f_ref) <= 1e-12 * max(f_ref, 1.0)
+                assert abs(variance(st, h) - v_ref) <= 1e-12 * max(v_ref, 1.0)
+
+    def test_dense_matrix_keeps_positive_spectrum(self, rng):
+        rho = random_density(rng, 5, rank=2)
+        st = as_state(rho)
+        assert np.all(st.eigenvalues > 0)
+        assert np.max(np.abs(st.reconstruct() - rho)) < 1e-14
+
+    def test_block_below_psd_floor_rejected(self):
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            as_state(np.diag([1.0 + 2e-10, -2e-10]))
+        # judged at block scale: p rho with p = 1e-8
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            as_state(np.diag([1e-8 + 2e-10, -2e-10]), 1e-8)
+        st = as_state(np.diag([1e-8 + 5e-11, -5e-11]), 1e-8)
+        assert st.eigenvalues.size == 1 and abs(st.eigenvalues[0] - 1.005) < 1e-12
 
 
 class TestQFIWhiteNoise:

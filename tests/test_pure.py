@@ -30,6 +30,7 @@ from steerkit.pure import (
     s_max_pure,
     schmidt,
 )
+from steerkit.experiments import maximally_entangled_assemblage
 from steerkit.states import BipartitePureState, ghz_state, hybrid_cat
 
 from conftest import SZ, random_density, random_hermitian, random_pure, random_unitary
@@ -306,7 +307,7 @@ def random_mixed_assemblage(rng, n_settings, d_a=3, d_b=3):
     """Projective settings of Alice on a noisy random entangled state."""
     psi = random_pure(rng, d_a * d_b)
     rho = 0.8 * np.outer(psi, psi.conj()) + 0.2 * random_density(rng, d_a * d_b)
-    povms = [povm_from_basis(random_unitary(rng, d_a)) for _ in range(n_settings)]
+    povms = [(f"X{i}", povm_from_basis(random_unitary(rng, d_a))) for i in range(n_settings)]
     return assemblage_from_state(rho, (d_a, d_b), povms)
 
 
@@ -440,3 +441,26 @@ class TestAncilla:
 
     def test_product_state(self):
         assert ancilla_invariance_check(pure_state_with_spectrum([1.0, 0.0]), 2)
+
+
+class TestMultiGeneratorSum:
+    """sum_i max_X (Q_X)_ii from the stored spectra equals the per-generator conditional QFI loop."""
+
+    @staticmethod
+    def per_generator(asm, basis):
+        return sum(conditional_qfi(asm, g)[0] for g in basis.generators)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_maximally_entangled(self, d):
+        asm, _ = maximally_entangled_assemblage(d)
+        basis = gellmann_basis(d)
+        value, bound = multi_generator_sum(asm, basis)
+        assert abs(value - self.per_generator(asm, basis)) < 1e-12 * value
+        assert bound == 4.0 * (d - 1)
+
+    def test_seeded_mixed(self):
+        rng = np.random.default_rng(41)
+        asm = random_mixed_assemblage(rng, 3)
+        basis = gellmann_basis(3)
+        value, _ = multi_generator_sum(asm, basis)
+        assert abs(value - self.per_generator(asm, basis)) < 1e-12 * value

@@ -50,7 +50,7 @@ class TestSampleOutcomes:
 def plus_state_assemblage():
     """Trivial single-setting assemblage holding the bare qubit |+>."""
     rho = tensor(np.diag([1.0, 0.0]).astype(complex), outer(PLUS))
-    return assemblage_from_state(rho, (2, 2), [qubit_basis_povm("z")])
+    return assemblage_from_state(rho, (2, 2), [("sz", qubit_basis_povm("z"))])
 
 
 class TestMomentEstimator:
@@ -130,7 +130,8 @@ class TestMomentEstimator:
         rec = asm.setting("Jx")
         signs = []
         for st in rec.states:
-            mean_jx = float(np.vdot(st, ops.jx @ st).real)
+            vec = st.eigenvectors[:, 0]
+            mean_jx = float(np.vdot(vec, ops.jx @ vec).real)
             signs.append(1.0 if mean_jx >= 0 else -1.0)
         m_list = [s * ops.jy for s in signs]
         run = moment_estimator_validation(
@@ -164,7 +165,7 @@ class TestEPRProduct:
             if abs(np.trace(rho_b @ comm)) < 0.05:  # flat response: resample
                 continue
             joint = tensor(np.diag([0.6, 0.4]).astype(complex), rho_b)
-            asm = assemblage_from_state(joint, (2, 2), [qubit_basis_povm("z")])
+            asm = assemblage_from_state(joint, (2, 2), [("sz", qubit_basis_povm("z"))])
             check = epr_product_check(asm, h, m, theta_true=0.0, n=10_000, reps=200, seed=100 + trial)
             flags.append(check.epr_flag)
         assert len(flags) >= 10
