@@ -2,10 +2,13 @@
 
 An assemblage collects, per measurement setting of Alice, the outcome
 probabilities together with Bob's conditional states.  Each conditional state
-is stored once in spectral form (``linalg.Spectrum``, built by
-``metrology.as_state``): a pure state is rank 1, and a mixed block is
-diagonalised once, when it is conditioned on.  Bob's reduced state comes from
-the factor F whose columns are sqrt(p_a lam_i) v_i.
+is stored once in spectral form (``linalg.Spectrum``, checked by
+``metrology.as_state``).  A global state V diag(lam) V^dag + mu (I - V V^dag)
+is conditioned through its factor V sqrt(lam - mu): each outcome's block is
+G G^dag plus the floor mu tr(E_a), and its spectrum comes from G, a d_B x r
+matrix, so neither the pure nor the white-noise GHZ state builds a
+d_B x d_B matrix.  Bob's reduced state comes the same way from the factor F
+whose columns are sqrt(p_a (lam_i - mu_a)) v_i, plus the summed floors.
 
 The max/min over settings ranges over the finitely many settings supplied by
 the caller; analytically optimal settings for the worked examples are known
@@ -24,7 +27,9 @@ from .linalg import (
     Spectrum,
     ValidationError,
     dagger,
+    factor_spectrum,
     hermitian_eig,
+    max_abs_by_rows,
     require_density_matrix,
     require_hermitian,
 )
@@ -53,19 +58,17 @@ class SettingRecord:
     def state_matrix(self, i: int) -> np.ndarray:
         return self.states[i].reconstruct()
 
-    def factor(self) -> np.ndarray:
-        """F with F F^dag = sum_a p_a rho_a: the columns sqrt(p_a lam_i) v_i of every outcome.
+    def factor(self) -> tuple[np.ndarray, float]:
+        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a.
 
-        A probability that ``make_assemblage`` let through just below 0 counts as 0.
+        F stacks the columns sqrt(p_a (lam_i - mu_a)) v_i of every outcome and
+        mu = sum_a p_a mu_a.  A probability that ``make_assemblage`` let
+        through just below 0 counts as 0.
         """
-        return np.concatenate(
-            [st.eigenvectors * np.sqrt(max(p, 0.0) * st.eigenvalues) for p, st in zip(self.probabilities, self.states)],
-            axis=1,
-        )
-
-    def reduced(self) -> np.ndarray:
-        f = self.factor()
-        return f @ dagger(f)
+        probs = np.maximum(self.probabilities, 0.0)
+        v = np.concatenate([st.eigenvectors for st in self.states], axis=1)
+        w = np.concatenate([p * (st.eigenvalues - st.floor) for p, st in zip(probs, self.states)])
+        return v * np.sqrt(w), float(probs @ [st.floor for st in self.states])
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,24 @@ class Assemblage:
         raise ValidationError(f"no setting labelled {label!r}; have {self.labels}")
 
     def reduced_state(self) -> np.ndarray:
-        return self.settings[0].reduced()
+        f, mu = self.settings[0].factor()
+        return f @ dagger(f) + mu * np.eye(self.d_b)
 
     def reduced_spectrum(self) -> Spectrum:
-        """Bob's reduced state on its support: a thin SVD of F when F has fewer than d_B columns, else eigh."""
-        f = self.settings[0].factor()
-        if f.shape[1] < self.d_b:
-            u, s, _ = np.linalg.svd(f, full_matrices=False)
-            return Spectrum(s**2, u).support()
-        return hermitian_eig(f @ dagger(f)).support()
+        """Bob's reduced state above its floor, from the first setting's factor (``factor_spectrum``)."""
+        return factor_spectrum(*self.settings[0].factor())
+
+
+def _marginal_deviation(f0: np.ndarray, mu0: float, f1: np.ndarray, mu1: float) -> float:
+    """max-abs entry of (F_1 F_1^dag + mu_1 I) - (F_0 F_0^dag + mu_0 I), without forming either d_B x d_B marginal."""
+
+    def rows(lo, hi):
+        diff = f1[lo:hi] @ dagger(f1) - f0[lo:hi] @ dagger(f0)
+        k = np.arange(hi - lo)
+        diff[k, lo + k] += mu1 - mu0
+        return diff
+
+    return max_abs_by_rows(rows, f0.shape[0], f0.shape[0])
 
 
 def make_assemblage(settings, d_b: int) -> Assemblage:
@@ -103,8 +115,7 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
     Records without outcome labels get their positions "0", "1", ... as
     labels.  Conditional states go through ``as_state``: amplitude vectors
     and density matrices are checked and diagonalised there, and spectral
-    states, which the constructors build and check at block scale, are
-    taken as they are.
+    states are checked as they are.
     """
     recs = []
     for rec in settings:
@@ -128,9 +139,9 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
         recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
     if len(recs) > 1:
-        first = recs[0].reduced()
+        f0, mu0 = recs[0].factor()
         for rec in recs[1:]:
-            dev = float(np.max(np.abs(rec.reduced() - first)))
+            dev = _marginal_deviation(f0, mu0, *rec.factor())
             if dev > TOL.no_signal:
                 raise ValidationError(
                     f"no-signalling violated: marginal of {rec.label!r} deviates from "
@@ -148,15 +159,18 @@ def _setting(label, outcome_labels, weighted) -> SettingRecord:
     """Condition on each outcome of one setting, keeping the survivors' labels.
 
     ``weighted`` holds (p(a), block) per outcome, the block being an amplitude
-    row sqrt(p) psi_a or a sub-normalized matrix p rho_a.  Outcomes with p
-    below ``TOL.prob_floor`` are dropped; the others are checked at block
-    scale and diagonalised by ``as_state`` and keep their own label.
+    row sqrt(p) psi_a, a sub-normalized matrix p rho_a or its ``Spectrum``.
+    Outcomes with p below ``TOL.prob_floor`` are dropped; the others keep
+    their own label.  A matrix or spectrum is checked at block scale by
+    ``as_state``; a row is only normalised, for ``make_assemblage`` checks
+    every state again.
     """
     probs, states, kept = [], [], []
     for lab, (p, block) in zip(outcome_labels, weighted):
         if p < TOL.prob_floor:
             continue
-        states.append(as_state(block, p, f"conditional state {label}/{lab}"))
+        is_row = isinstance(block, np.ndarray) and block.ndim == 1
+        states.append(block / np.sqrt(p) if is_row else as_state(block, p, f"conditional state {label}/{lab}"))
         probs.append(p)
         kept.append(str(lab))
     return SettingRecord(
@@ -169,46 +183,66 @@ def _labelled(settings):
     return settings.items() if isinstance(settings, dict) else settings
 
 
+def _effect_rows(povm: POVM):
+    """Per outcome, rows R with R^dag R = E_a.
+
+    A projective POVM gives its conjugated basis vector; another effect gives
+    sqrt(w) e^dag for each eigenpair (w, e) of its support.
+    """
+    if povm.vectors is not None:
+        return [vec.conj() for vec in povm.vectors]
+    rows = []
+    for eff in povm.effects:
+        spec = hermitian_eig(eff).support()
+        rows.append(dagger(spec.eigenvectors * np.sqrt(spec.eigenvalues)))
+    return rows
+
+
+def _conditioned(rows, f: np.ndarray, d_b: int, floor: float):
+    """(p(a), block) of one outcome, for rho_AB = F F^dag + floor I with F of shape (d_A, d_B * r).
+
+    tr_A[(E (x) 1) rho_AB] = G G^dag + floor tr(E) I, where G = R F with its
+    columns regrouped to d_B rows, and p(a) = ||G||_F^2 + floor tr(E) d_B.  A
+    single column without a floor stays an amplitude row.
+    """
+    g = rows @ f
+    if g.shape == (d_b,) and not floor:
+        return float(np.vdot(g, g).real), g
+    if g.ndim == 1:
+        g = g.reshape(d_b, -1)
+    else:  # one (d_B, r) block per eigenpair of the effect, side by side
+        g = np.moveaxis(g.reshape(len(g), d_b, f.shape[1] // d_b), 0, 1).reshape(d_b, -1)
+    mu = floor * float(np.vdot(rows, rows).real)
+    return float(np.vdot(g, g).real) + mu * d_b, factor_spectrum(g, mu)
+
+
 def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage:
     """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each labelled POVM setting.
 
-    ``settings`` maps labels to POVMs (a dict or (label, POVM) pairs), as in
-    ``assemblage_from_pure_state``.  Outcomes keep their POVM labels.
+    ``rho_ab`` is a density matrix or a ``Spectrum`` (taken through
+    ``as_state``); ``settings`` maps labels to POVMs (a dict or (label, POVM)
+    pairs).  A dense rho_AB gets one ``eigh``; then each outcome conditions
+    the factor V sqrt(lam - floor) of rho_AB and inherits floor tr(E_a) on
+    every direction of Bob's space, so a state of rank r conditions on
+    d_B x r matrices.  Outcomes keep their POVM labels.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
-    rho = require_density_matrix(rho_ab, name="rho_AB")
-    if rho.shape[0] != d_a * d_b:
-        raise ValidationError(f"rho_AB dimension {rho.shape[0]} != {d_a} * {d_b}")
-    four = rho.reshape(d_a, d_b, d_a, d_b)
+    st = as_state(rho_ab, name="rho_AB")
+    if st.dim != d_a * d_b:
+        raise ValidationError(f"rho_AB dimension {st.dim} != {d_a} * {d_b}")
+    f = (st.eigenvectors * np.sqrt(st.eigenvalues - st.floor)).reshape(d_a, -1)
     recs = []
     for label, povm in _labelled(settings):
         if povm.dim != d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
-        blocks = (np.einsum("ij,jbic->bc", eff, four) for eff in povm.effects)
-        recs.append(_setting(label, povm.labels, _traced(blocks)))
+        weighted = (_conditioned(rows, f, d_b, st.floor) for rows in _effect_rows(povm))
+        recs.append(_setting(label, povm.labels, weighted))
     return make_assemblage(recs, d_b)
 
 
 def assemblage_from_pure_state(state: BipartitePureState, settings) -> Assemblage:
-    """Fast path for pure global states: conditionals stay amplitude vectors.
-
-    ``settings`` maps labels to POVMs; rank-1 POVMs (``vectors`` present)
-    steer into pure conditional states via amplitude contraction, others fall
-    back to dense conditional density matrices.  Outcomes keep their POVM
-    labels.
-    """
-    psi = state.matrix
-    recs = []
-    for label, povm in _labelled(settings):
-        if povm.dim != state.d_a:
-            raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {state.d_a}")
-        if povm.vectors is not None:
-            rows = (vec.conj() @ psi for vec in povm.vectors)
-            weighted = ((float(np.vdot(row, row).real), row) for row in rows)
-        else:
-            weighted = _traced(np.einsum("ij,jb,ic->bc", eff, psi, psi.conj()) for eff in povm.effects)
-        recs.append(_setting(label, povm.labels, weighted))
-    return make_assemblage(recs, state.d_b)
+    """``assemblage_from_state`` on the rank-1 state: projective settings steer into amplitude rows."""
+    return assemblage_from_state(Spectrum(np.ones(1), state.matrix.reshape(-1, 1)), state.dims, settings)
 
 
 @dataclass(frozen=True)

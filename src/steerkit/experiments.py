@@ -29,7 +29,7 @@ from .states import (
     dicke_bounds,
     fock_space,
     ghz_state,
-    ghz_white_noise,
+    ghz_white_noise_state,
     hybrid_cat,
     collective_jz,
     partition_sector_amplitudes,
@@ -70,7 +70,8 @@ def ghz_assemblage(n_bob: int, phi: float = 0.0) -> Assemblage:
 
 
 def ghz_noise_assemblage(n_bob: int, phi: float, p: float) -> Assemblage:
-    rho = ghz_white_noise(n_bob + 1, phi, p)
+    """The noisy GHZ state in spectral form (rank 1 over its floor), with Alice measuring sigma_z or sigma_x."""
+    rho = ghz_white_noise_state(n_bob + 1, phi, p)
     return assemblage_from_state(rho, (2, 2**n_bob), [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))])
 
 

@@ -2,6 +2,10 @@
 
 Validated operator/state helpers plus the eigendecomposition, tensor-product,
 partial-trace and generator-exponential primitives everything else builds on.
+A ``Spectrum`` is the package's one state representation: r orthonormal
+columns with their eigenvalues, and a floor, the single eigenvalue of every
+direction outside them (zero for a state on its support, (1-p)/d for white
+noise of weight 1-p).
 All tolerances live in one policy record (``TOL``) so numeric contracts stay
 uniform and testable across the package.
 """
@@ -61,12 +65,26 @@ def dagger(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T
 
 
+_ROW_BLOCK = 1 << 16  # entries per block of rows in ``max_abs_by_rows``
+
+
+def max_abs_by_rows(rows_of, n_rows: int, n_cols: int) -> float:
+    """max |M_ij| of an n_rows x n_cols matrix M that ``rows_of(lo, hi)`` builds
+    one block of rows at a time, so no temporary holds more than about
+    ``_ROW_BLOCK`` entries."""
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    dev = 0.0
+    for lo in range(0, n_rows, step):
+        dev = max(dev, float(np.max(np.abs(rows_of(lo, min(lo + step, n_rows))))))
+    return dev
+
+
 def require_hermitian(matrix, tol: float = TOL.herm, name: str = "operator") -> np.ndarray:
     """Validate Hermiticity within ``tol`` (max-abs) and return the operator."""
     out = as_complex_matrix(matrix, name)
     if out.shape[0] != out.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {out.shape}")
-    dev = float(np.max(np.abs(out - dagger(out)))) if out.size else 0.0
+    dev = max_abs_by_rows(lambda lo, hi: out[lo:hi] - dagger(out[:, lo:hi]), *out.shape)
     if dev > tol:
         raise ValidationError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
     return out
@@ -100,15 +118,18 @@ def require_state_vector(vector, name: str = "state vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Spectral form V diag(lam) V^dag of a Hermitian operator.
+    """Spectral form V diag(lam) V^dag + floor (I - V V^dag) of a Hermitian operator.
 
     ``eigenvectors`` holds r <= d orthonormal columns matching
-    ``eigenvalues`` (ascending when they come from ``hermitian_eig``).  A
-    state is stored this way on its support: r = 1 for a pure state.
+    ``eigenvalues`` (ascending when they come from ``hermitian_eig``); the
+    ``floor`` mu is the one eigenvalue shared by the whole complement of
+    those columns.  A state is stored this way above its floor: r = 1 and
+    mu = 0 for a pure state, r = 1 and mu = (1-p)/d for p |psi><psi| + (1-p) I/d.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    floor: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -116,12 +137,13 @@ class Spectrum:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        out = (v * (self.eigenvalues - self.floor)) @ dagger(v)
+        return out + self.floor * np.eye(self.dim) if self.floor else out
 
     def support(self) -> "Spectrum":
-        """The part with strictly positive eigenvalues."""
-        keep = self.eigenvalues > 0.0
-        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep])
+        """The part with eigenvalues strictly above the floor."""
+        keep = self.eigenvalues > self.floor
+        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.floor)
 
 
 def hermitian_eig(operator, tol: float = TOL.herm) -> Spectrum:
@@ -132,6 +154,19 @@ def hermitian_eig(operator, tol: float = TOL.herm) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def factor_spectrum(factor: np.ndarray, floor: float = 0.0) -> Spectrum:
+    """Spectrum of G G^dag + floor I above its floor, from the factor G.
+
+    A thin SVD of G when it has fewer columns than rows, else ``eigh`` of
+    G G^dag: either way the work is set by the smaller side of G.
+    """
+    if factor.shape[1] < factor.shape[0]:
+        u, s, _ = np.linalg.svd(factor, full_matrices=False)
+        return Spectrum(s**2 + floor, u, floor).support()
+    spec = hermitian_eig(factor @ dagger(factor))
+    return Spectrum(spec.eigenvalues + floor, spec.eigenvectors, floor).support()
 
 
 def tensor(*factors) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Core metrological functionals: variance, quantum/classical Fisher information.
 
-Every functional works on the spectral form rho = V diag(lam) V^dag of a state
-(``linalg.Spectrum``), where the r columns of V span its support.  ``as_state``
-is the one coercion: an amplitude vector is the r = 1 case, a density matrix
-gets one eigendecomposition, and a Spectrum is taken as built.  With H V in
-hand, expectation values, variances and the QFI cost O(d^2 r).
+Every functional works on the spectral form
+rho = V diag(lam) V^dag + mu (I - V V^dag) of a state (``linalg.Spectrum``):
+r orthonormal columns and a floor mu, the eigenvalue of every other
+direction, so white noise p |psi><psi| + (1-p) I/d is r = 1 with
+mu = (1-p)/d.  ``as_state`` is the one coercion: an amplitude vector is the
+r = 1 case, a density matrix gets one eigendecomposition, and a Spectrum is
+checked.  With H V in hand, expectation values, variances and the QFI cost
+O(d^2 r); the floor adds its share through tr H and ||H||_F^2.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from .linalg import (
     Spectrum,
     ValidationError,
     as_complex_matrix,
-    as_complex_vector,
     dagger,
     outer,
     require_hermitian,
     require_state_vector,
 )
+from .states import white_noise_mixture
 
 
 @dataclass(frozen=True)
@@ -91,107 +94,134 @@ def _complete_povm(total: np.ndarray, effects, labels, vectors=None) -> POVM:
 
 
 def as_state(state, p: float = 1.0, name: str = "state") -> Spectrum:
-    """Spectral form of the state ``state / p`` on its support.
+    """Spectral form of the state ``state / p`` above its floor.
 
-    A ``Spectrum`` is taken as built.  An amplitude vector sqrt(p) psi becomes
-    the rank-1 state psi, checked for unit norm.  A matrix p rho gets one
-    ``eigh`` whose eigenvalues are the positivity check; Hermiticity,
-    positivity and the trace are judged at the block's own scale, before the
-    division by p, so roundoff on small-probability blocks is not amplified
-    into spurious rejections.  Eigenvalues <= 0 are dropped.
+    An amplitude vector sqrt(p) psi becomes the rank-1 state psi, checked for
+    unit norm.  A matrix p rho gets one ``eigh``; its eigenvalues <= 0 are
+    then dropped.  A ``Spectrum`` p rho is checked as given.  For both, the
+    floor must be >= 0, every eigenvalue at least the floor (to ``TOL.psd``)
+    and the trace sum(lam) + floor (d - r) equal to p, all judged at the
+    block's own scale, before the division by p, so roundoff on
+    small-probability blocks is not amplified into spurious rejections.
     """
     if isinstance(state, Spectrum):
-        return state
+        return _scaled(state, p, name)
     st = np.asarray(state, dtype=complex)
     if st.ndim == 1:
         return Spectrum(np.ones(1), require_state_vector(st / np.sqrt(p), name)[:, None])
-    lam, vecs = np.linalg.eigh(require_hermitian(st, name=name))
-    if lam[0] < TOL.psd:
-        raise ValidationError(f"{name} has negative eigenvalue {lam[0]:.3e} below {TOL.psd:.1e}")
-    trace = float(lam.sum()) / p
+    return _scaled(Spectrum(*np.linalg.eigh(require_hermitian(st, name=name))), p, name).support()
+
+
+def _scaled(st: Spectrum, p: float, name: str) -> Spectrum:
+    """``st / p`` once its floor, its eigenvalues above the floor and its trace pass at block scale."""
+    mu, lam = st.floor, st.eigenvalues.tolist()  # a list: r is mostly 1, where numpy reductions cost more than the check
+    if mu < 0.0:
+        raise ValidationError(f"{name} has negative floor {mu:.3e}")
+    lo = min(lam, default=mu) - mu
+    if lo < TOL.psd:
+        above = f" above its floor {mu:.3e}" if mu else ""
+        raise ValidationError(f"{name} has negative eigenvalue {lo:.3e}{above} below {TOL.psd:.1e}")
+    trace = (sum(lam) + mu * (st.dim - len(lam))) / p
     if abs(trace - 1.0) > TOL.trace:
         raise ValidationError(f"{name} eigenvalues sum to {trace:.12f}, not 1")
-    return Spectrum(lam / p, vecs).support()
+    return st if p == 1.0 else Spectrum(st.eigenvalues / p, st.eigenvectors, mu / p)
 
 
-def _rotate(state, operator, name: str) -> tuple[Spectrum, np.ndarray]:
-    """The state's spectral form and H V, after checking dimensions."""
-    st = as_state(state)
+def _rotate(state, operator, name: str) -> tuple[Spectrum, np.ndarray, np.ndarray]:
+    """The state's spectral form, H and H V, after checking dimensions.
+
+    A ``Spectrum`` is taken as built: ``as_state`` checks it once, where it enters an assemblage.
+    """
+    st = state if isinstance(state, Spectrum) else as_state(state)
     op = as_complex_matrix(operator, name)
     if op.shape != (st.dim, st.dim):
         raise ValidationError(f"{name} has shape {op.shape}, state dimension is {st.dim}")
-    return st, op @ st.eigenvectors
+    return st, op, op @ st.eigenvectors
 
 
 def expectation(state, operator) -> float:
-    """<O> = sum_i lam_i <v_i|O|v_i>; real part returned."""
-    st, ov = _rotate(state, operator, "operator")
-    return float(st.eigenvalues @ np.vecdot(st.eigenvectors, ov, axis=0).real)
+    """<O> = sum_i (lam_i - floor) <v_i|O|v_i> + floor tr O; real part returned."""
+    st, op, ov = _rotate(state, operator, "operator")
+    val = float((st.eigenvalues - st.floor) @ np.vecdot(st.eigenvectors, ov, axis=0).real)
+    return val + st.floor * float(np.trace(op).real) if st.floor else val
 
 
 def variance(state, observable) -> float:
-    """Var = sum_i lam_i ||H v_i||^2 - (sum_i lam_i H_ii)^2, clamped at zero against roundoff."""
-    st, hv = _rotate(state, observable, "observable")
-    second = float(st.eigenvalues @ np.vecdot(hv, hv, axis=0).real)
-    first = float(st.eigenvalues @ np.vecdot(st.eigenvectors, hv, axis=0).real)
+    """Var = <H^2> - <H>^2, clamped at zero against roundoff.
+
+    With w_i = lam_i - floor: <H^2> = sum_i w_i ||H v_i||^2 + floor ||H||_F^2
+    and <H> = sum_i w_i H_ii + floor tr H.
+    """
+    st, op, hv = _rotate(state, observable, "observable")
+    w = st.eigenvalues - st.floor
+    second = float(w @ np.vecdot(hv, hv, axis=0).real)
+    first = float(w @ np.vecdot(st.eigenvectors, hv, axis=0).real)
+    if st.floor:
+        second += st.floor * float(np.vdot(op, op).real)
+        first += st.floor * float(np.trace(op).real)
     val = second - first * first
     if val < -1e-12:
         raise NumericError(f"variance came out {val:.3e}; inputs are inconsistent")
     return max(val, 0.0)
 
 
+def _kernel_weights(st: Spectrum) -> np.ndarray:
+    """QFI weight (l_i - mu)^2 / (l_i + mu) of each column paired with the floor's eigenspace."""
+    lam, mu = st.eigenvalues, st.floor
+    return (lam - mu) ** 2 / (lam + mu) if mu else lam
+
+
 def qfi(state, generator, eps: float = TOL.qfi_eigen) -> float:
     """Quantum Fisher information for unitary encoding exp(-i theta H).
 
-    Rank-r spectral sum over the support (Liu, Jing, Zhong and Wang,
-    Commun. Theor. Phys. 61, 45 (2014)):
+    Rank-r spectral sum over the columns, with the complement of eigenvalue
+    mu = floor (Liu, Jing, Zhong and Wang, Commun. Theor. Phys. 61, 45 (2014)):
 
         2 sum_{i,j <= r} (l_i-l_j)^2/(l_i+l_j) |H_ij|^2
-        + 4 sum_i l_i (||H v_i||^2 - sum_{j <= r} |H_ij|^2),
+        + 4 sum_i (l_i-mu)^2/(l_i+mu) (||H v_i||^2 - sum_{j <= r} |H_ij|^2),
 
-    where the second line adds back the support-to-kernel pairs exactly.
-    Support pairs with l_i + l_j <= eps are skipped, which removes the 0/0
-    terms deterministically.  A pure state gives F_Q = 4 Var.
+    where the second line adds the column-to-complement pairs exactly; pairs
+    inside the complement have equal eigenvalues and carry no weight.  Column
+    pairs with l_i + l_j <= eps are skipped, which removes the 0/0 terms
+    deterministically.  A pure state gives F_Q = 4 Var.
     """
-    st, hv = _rotate(state, generator, "generator")
+    st, _, hv = _rotate(state, generator, "generator")
     lam = st.eigenvalues
     h2 = np.abs(dagger(st.eigenvectors) @ hv) ** 2
     pair_sum = lam[:, None] + lam[None, :]
     weights = np.divide((lam[:, None] - lam[None, :]) ** 2, pair_sum, out=np.zeros_like(pair_sum), where=pair_sum > eps)
     kernel = np.vecdot(hv, hv, axis=0).real - h2.sum(axis=1)
-    val = 2.0 * float(np.sum(weights * h2)) + 4.0 * float(lam @ kernel)
+    val = 2.0 * float(np.sum(weights * h2)) + 4.0 * float(_kernel_weights(st) @ kernel)
     return max(val, 0.0)
 
 
 def qfi_white_noise(psi, generator, p: float) -> float:
-    """Closed-form QFI of p|psi><psi| + (1-p) I/d under generator H."""
-    vec = as_complex_vector(psi, "psi")
-    var = variance(vec, generator)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must be a probability, got {p}")
-    if p == 0.0:
-        return 0.0
-    return 4.0 * p * p / (p + 2.0 * (1.0 - p) / vec.shape[0]) * var
+    """QFI of p|psi><psi| + (1-p) I/d under generator H, from its spectral form."""
+    return qfi(white_noise_mixture(psi, p), generator)
 
 
 def cfi(povm: POVM, state, generator) -> float:
     """Classical Fisher information at theta = 0 of p(x|theta) = tr[E_x rho_theta].
 
     The derivative is analytic: d_theta p(x|0) = -i tr(E_x [H, rho])
-    = 2 sum_i lam_i Im <E_x v_i|H v_i>.
+    = 2 sum_i (lam_i - floor) Im <E_x v_i|H v_i>: the floor's identity part
+    commutes with H.
     Outcomes with p < prob_floor and |dp| < prob_floor contribute 0; an
     outcome with p < prob_floor but |dp| >= prob_floor makes the Fisher
     information singular and raises.
     """
-    st, hv = _rotate(state, generator, "generator")
+    st, _, hv = _rotate(state, generator, "generator")
     if povm.dim != st.dim:
         raise ValidationError(f"POVM dimension {povm.dim} does not match state dimension {st.dim}")
-    lam, v = st.eigenvalues, st.eigenvectors
+    v, mu = st.eigenvectors, st.floor
+    w = st.eigenvalues - mu
     total = 0.0
     for eff, lab in zip(povm.effects, povm.labels):
         ev = eff @ v
-        p = float(lam @ np.vecdot(v, ev, axis=0).real)
-        dp = 2.0 * float(lam @ np.vecdot(ev, hv, axis=0).imag)
+        p = float(w @ np.vecdot(v, ev, axis=0).real)
+        if mu:
+            p += mu * float(np.trace(eff).real)
+        dp = 2.0 * float(w @ np.vecdot(ev, hv, axis=0).imag)
         if p < TOL.prob_floor:
             if abs(dp) < TOL.prob_floor:
                 continue
@@ -217,14 +247,16 @@ def qfi_commutator_bound(state, generator, observable) -> float:
 def var_qfi_gap(state, generator, eps: float = TOL.qfi_eigen):
     """Var - F_Q/4 via its explicit nonnegative decomposition.
 
-    Returns ``(gap, saturated)``.  Using the double-sum decomposition
-    2 sum_{i != j} l_i l_j/(l_i+l_j) |H_ij|^2 + Var_l(H_ii) over the support
-    avoids the cancellation of subtracting two large functionals (kernel
-    directions carry l = 0 and drop out); the gap vanishes exactly when
-    Pi H Pi is proportional to Pi on the support of rho.
+    Returns ``(gap, saturated)``.  Over the full eigenbasis (eigenvalues p_a)
+    the gap is 2 sum_{a != b} p_a p_b/(p_a+p_b) |H_ab|^2 + Var_p(H_aa); this
+    avoids the cancellation of subtracting two large functionals.  On the
+    columns it is computed term by term; the complement P of eigenvalue
+    mu = floor adds 4 mu sum_i l_i/(l_i+mu) ||P H v_i||^2 + mu ||P (H - <H>) P||_F^2.
+    The gap vanishes exactly when Pi H Pi is proportional to Pi on the
+    support Pi of rho, which is the whole space when mu > eps.
     """
-    st, hv = _rotate(state, generator, "generator")
-    lam = st.eigenvalues
+    st, op, hv = _rotate(state, generator, "generator")
+    lam, mu = st.eigenvalues, st.floor
     h_eig = dagger(st.eigenvectors) @ hv
     pair_sum = lam[:, None] + lam[None, :]
     mask = pair_sum > eps
@@ -232,17 +264,23 @@ def var_qfi_gap(state, generator, eps: float = TOL.qfi_eigen):
     prod = lam[:, None] * lam[None, :]
     weights = np.zeros_like(pair_sum)
     weights[mask] = prod[mask] / pair_sum[mask]
-    off_part = 2.0 * float(np.sum(weights * np.abs(h_eig) ** 2))
+    h2 = np.abs(h_eig) ** 2
+    off_part = 2.0 * float(np.sum(weights * h2))
     diag = h_eig.diagonal().real
-    mean_diag = float(np.dot(lam, diag))
-    diag_part = float(np.dot(lam, (diag - mean_diag) ** 2))
-    gap = off_part + diag_part
+    rest = float(np.trace(op).real - diag.sum()) if mu else 0.0  # tr(P H)
+    mean_diag = float(np.dot(lam, diag)) + mu * rest
+    gap = off_part + float(np.dot(lam, (diag - mean_diag) ** 2))
+    if mu:
+        norms = np.vecdot(hv, hv, axis=0).real
+        leak = norms - h2.sum(axis=1)
+        inside = float(np.vdot(op, op).real - 2.0 * norms.sum() + h2.sum())
+        centred = inside - 2.0 * mean_diag * rest + mean_diag**2 * (st.dim - lam.size)
+        gap += 4.0 * mu * float((lam / (lam + mu)) @ leak) + mu * centred
 
     support = lam > eps
-    h_sub = h_eig[np.ix_(support, support)]
-    r = int(np.sum(support))
-    saturated = False
-    if r:
-        c = np.trace(h_sub) / r
-        saturated = bool(np.max(np.abs(h_sub - c * np.eye(r))) < 1e-9)
-    return gap, saturated
+    h_sub = op if mu > eps else h_eig[np.ix_(support, support)]  # H on the support of rho
+    r = h_sub.shape[0]
+    if not r:
+        return gap, False
+    c = np.trace(h_sub) / r
+    return gap, bool(np.max(np.abs(h_sub - c * np.eye(r))) < 1e-9)

@@ -22,7 +22,7 @@ from .assemblage import (
     conditional_variance,
 )
 from .linalg import TOL, NumericError, ValidationError, dagger, require_hermitian
-from .metrology import POVM, povm_from_basis
+from .metrology import POVM, _kernel_weights, povm_from_basis
 from .states import BipartitePureState
 
 _SUPPORT_CUT = 1e-12
@@ -220,23 +220,37 @@ def _setting_matrices(rec: SettingRecord, gens: np.ndarray) -> tuple[np.ndarray,
     For H = sum_a c_a G_a the setting's averaged QFI is c^T Q_X c and its
     averaged variance c^T V_X c.  Both are read off the stored spectra with
     the rank-r forms of ``qfi`` and ``variance``: the spectral weights
-    2 (l_i - l_j)^2 / (l_i + l_j) on the support, cut at ``TOL.qfi_eigen``,
-    plus the support-to-kernel term 4 sum_i l_i (<G_a v_i|G_b v_i> - sum_j G_a,ij conj(G_b,ij)).
+    2 (l_i - l_j)^2 / (l_i + l_j) on the columns, cut at ``TOL.qfi_eigen``,
+    plus the column-to-complement term
+    4 sum_i k_i (<G_a v_i|G_b v_i> - sum_j G_a,ij conj(G_b,ij)) with
+    k_i = (l_i - mu)^2 / (l_i + mu).  Second moments and means weigh the
+    columns by l_i - mu and add mu tr(G_a G_b) and mu tr G_a for a floor mu.
     """
     n = len(gens)
     q, cov = np.zeros((n, n)), np.zeros((n, n))
     for p, st in zip(rec.probabilities, rec.states):
-        lam, v = st.eigenvalues, st.eigenvectors
+        lam, v, mu = st.eigenvalues, st.eigenvectors, st.floor
         gv = gens @ v  # (generator, d, r): G_a v_i in column i
-        rot = dagger(v) @ gv  # G_a,ij on the support
+        rot = dagger(v) @ gv  # G_a,ij on the columns
+
+        def gram(weights):  # sum_i w_i Re<G_a v_i|G_b v_i>
+            return ((gv * weights).reshape(n, -1) @ dagger(gv.reshape(n, -1))).real
+
         pair = lam[:, None] + lam[None, :]
         w = np.divide(2.0 * (lam[:, None] - lam[None, :]) ** 2, pair, out=np.zeros_like(pair), where=pair > TOL.qfi_eigen)
+        kappa = _kernel_weights(st)
         flat = rot.reshape(n, -1)
-        norms = ((gv * lam).reshape(n, -1) @ dagger(gv.reshape(n, -1))).real  # sum_i l_i Re<G_a v_i|G_b v_i>
-        support = ((flat * (w - 4.0 * lam[:, None]).reshape(-1)) @ dagger(flat)).real
-        mean = rot.diagonal(axis1=1, axis2=2).real @ lam
-        q += p * (support + 4.0 * norms)
-        cov += p * (norms - np.outer(mean, mean))
+        support = ((flat * (w - 4.0 * kappa[:, None]).reshape(-1)) @ dagger(flat)).real
+        second = gram(lam - mu)
+        mean = rot.diagonal(axis1=1, axis2=2).real @ (lam - mu)
+        kernel = second
+        if mu:
+            flat_gens = gens.reshape(n, -1)
+            kernel = gram(kappa)
+            second = second + mu * (flat_gens @ dagger(flat_gens)).real  # tr(G_a G_b)
+            mean = mean + mu * np.trace(gens, axis1=1, axis2=2).real
+        q += p * (support + 4.0 * kernel)
+        cov += p * (second - np.outer(mean, mean))
     return q, cov
 
 

@@ -128,8 +128,8 @@ def moment_estimator_validation(
         m_spec = hermitian_eig(m_a)
         m_est = expectation(st, m_a)
         var_m_est += p_a * variance(st, m_a)
-        # p(m) = sum_i lam_i |<m|U v_i>|^2 on the rotated conditional state
-        p_m = np.abs(m_spec.eigenvectors.conj().T @ (u @ st.eigenvectors)) ** 2 @ st.eigenvalues
+        # p(m) = sum_i (lam_i - mu) |<m|U v_i>|^2 + mu on the rotated conditional state
+        p_m = np.abs(m_spec.eigenvectors.conj().T @ (u @ st.eigenvectors)) ** 2 @ (st.eigenvalues - st.floor) + st.floor
         joint.append(p_a * np.clip(p_m, 0.0, None))
         offsets.append(m_est - m_spec.eigenvalues)
     joint = np.concatenate(joint)

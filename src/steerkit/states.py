@@ -3,7 +3,8 @@
 Collective spin operators act on the (N+1)-dimensional symmetric sector with
 basis index k counting excitations, so J_z |k> = (k - N/2) |k>.  Only the
 GHZ-with-white-noise construction lives in the full 2^N qubit space (the
-identity admixture is not symmetric-sector), capped at 12 qubits.
+identity admixture is not symmetric-sector), capped at 12 qubits; it is kept
+in spectral form, the GHZ vector over the floor (1-p)/2^N.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 fixed by the vacuum variance Var[x] = 1/2.  Conventions vary between texts;
@@ -19,7 +20,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import TOL, ValidationError, as_complex_vector, dagger, unitary_from_generator
+from .linalg import TOL, Spectrum, ValidationError, as_complex_vector, dagger, require_state_vector, unitary_from_generator
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,28 @@ def collective_jz(n_qubits: int) -> np.ndarray:
     return np.diag(np.asarray(diag, dtype=complex))
 
 
-def ghz_white_noise(n_total: int, phi: float, p: float, max_qubits: int = 12) -> np.ndarray:
-    """p |GHZ><GHZ| + (1-p) I/2^n as a dense density matrix."""
+def white_noise_mixture(psi, p: float) -> Spectrum:
+    """p |psi><psi| + (1-p) I/d in spectral form: p + (1-p)/d on psi over the floor (1-p)/d."""
+    vec = require_state_vector(psi, "psi")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"p must be a probability, got {p}")
+    floor = (1.0 - p) / vec.shape[0]
+    return Spectrum(np.array([p + floor]), vec[:, None], floor)
+
+
+def ghz_white_noise_state(n_total: int, phi: float, p: float, max_qubits: int = 12) -> Spectrum:
+    """p |GHZ><GHZ| + (1-p) I/2^n in spectral form (``white_noise_mixture``)."""
     n = int(n_total)
     if n < 2:
         raise ValidationError(f"GHZ needs n_total >= 2, got {n_total}")
     if n > max_qubits:
         raise ValidationError(f"dense GHZ mixture capped at {max_qubits} qubits, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must be a probability, got {p}")
-    vec = ghz_vector(n, phi)
-    dim = 2**n
-    return p * np.outer(vec, vec.conj()) + (1.0 - p) * np.eye(dim) / dim
+    return white_noise_mixture(ghz_vector(n, phi), p)
+
+
+def ghz_white_noise(n_total: int, phi: float, p: float, max_qubits: int = 12) -> np.ndarray:
+    """p |GHZ><GHZ| + (1-p) I/2^n as a dense density matrix."""
+    return ghz_white_noise_state(n_total, phi, p, max_qubits).reconstruct()
 
 
 # ---------------------------------------------------------------------------

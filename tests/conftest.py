@@ -33,3 +33,19 @@ def random_unitary(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def random_floored_state(rng, d, r, floor):
+    """V diag(lam) V^dag + floor (I - V V^dag): r random orthonormal columns, every lam_i >= floor, trace 1.
+
+    ``floor="min"`` makes the floor equal to the smallest lam_i.
+    """
+    from steerkit.linalg import Spectrum
+
+    x = rng.dirichlet(np.ones(r))
+    if floor == "min":
+        floor = 1.0 / d if r == 1 else 0.5 / d
+        x[0] = 0.0
+        x /= x.sum() if x.sum() else 1.0
+    lam = floor + (1.0 - floor * d) * x
+    return Spectrum(lam, random_unitary(rng, d)[:, :r], floor)

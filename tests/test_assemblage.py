@@ -27,7 +27,7 @@ from steerkit.experiments import (
     qubit_basis_povm,
     split_dicke_assemblage,
 )
-from steerkit.linalg import ValidationError, outer, tensor
+from steerkit.linalg import Spectrum, ValidationError, outer, tensor
 from steerkit.metrology import make_povm, povm_from_basis, qfi, variance
 from steerkit.pure import optimal_assemblage
 from steerkit.states import (
@@ -39,7 +39,7 @@ from steerkit.states import (
     spin_ops,
 )
 
-from conftest import I2, SX, SZ, random_density, random_hermitian, random_pure
+from conftest import I2, SX, SZ, random_density, random_floored_state, random_hermitian, random_pure
 
 
 def random_lhs_model(rng, d_b=None, n_lambda=None, n_settings=None, n_outcomes=None):
@@ -106,8 +106,9 @@ class TestConstruction:
             probabilities=np.array([0.9, 0.1]),
             states=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
         )
-        with pytest.raises(ValidationError, match="no-signalling"):
+        with pytest.raises(ValidationError) as err:
             make_assemblage([a, b], 2)
+        assert str(err.value) == "no-signalling violated: marginal of 'bad' deviates from 'good' by 4.000e-01 (max-abs)"
 
     def test_bad_probabilities_rejected(self):
         rec = SettingRecord(
@@ -494,7 +495,8 @@ class TestSpectra:
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigh(a, *args, **kw))
-        asm = ghz_noise_assemblage(3, 0.0, 0.5)
+        # mixing builds dense conditional blocks; the noisy GHZ assemblage itself needs no eigh
+        asm = mix_assemblages(ghz_assemblage(3), ghz_noise_assemblage(3, 0.0, 0.5), 0.5)
         assert shapes == [(8, 8)] * 4  # two settings, two outcomes
         steering_witness(asm, collective_jz(3))
         assert shapes == [(8, 8)] * 5  # plus Bob's reduced state
@@ -515,3 +517,63 @@ class TestSpectra:
         f_ref, v_ref = ghz_noise_closed_forms(2, 0.75)
         assert abs(conditional_qfi(mixed, collective_jz(2))[0] - f_ref) < 1e-12
         assert abs(conditional_variance(mixed, collective_jz(2))[0] - v_ref) < 1e-12
+
+
+class TestFloorConditioning:
+    """A floored rho_AB is conditioned through its factor, with the floor carried along in closed form."""
+
+    SETTINGS = {
+        "projective": [("z", qubit_basis_povm("z")), ("x", qubit_basis_povm("x")), ("y", qubit_basis_povm("y"))],
+        # unsharp sigma_z and sigma_x readouts: rank-2 effects (1 +/- 0.6 sigma)/2
+        "unsharp": [
+            ("z", make_povm([(I2 + 0.6 * SZ) / 2, (I2 - 0.6 * SZ) / 2], labels=["z+", "z-"])),
+            ("x", make_povm([(I2 + 0.6 * SX) / 2, (I2 - 0.6 * SX) / 2], labels=["x+", "x-"])),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SETTINGS))
+    def test_floored_state_matches_dense(self, rng, kind):
+        for d_b, r, floor in ((2, 1, 1e-3), (3, 2, 1e-3), (3, 1, "min"), (4, 3, 0.02), (3, 2, 0.0)):
+            st = random_floored_state(rng, 2 * d_b, r, floor)
+            got = assemblage_from_state(st, (2, d_b), self.SETTINGS[kind])
+            ref = assemblage_from_state(st.reconstruct(), (2, d_b), self.SETTINGS[kind])
+            assert got.labels == ref.labels
+            for rec, rec_ref in zip(got.settings, ref.settings):
+                assert rec.outcomes == rec_ref.outcomes
+                assert np.max(np.abs(rec.probabilities - rec_ref.probabilities)) < 1e-12
+                for i in range(rec.n_outcomes):
+                    assert np.max(np.abs(rec.state_matrix(i) - rec_ref.state_matrix(i))) < 1e-12
+            assert np.max(np.abs(got.reduced_state() - ref.reduced_state())) < 1e-12
+
+    def test_noisy_ghz_witness_never_diagonalises_large_matrices(self, monkeypatch):
+        def small_only(fn):
+            def guarded(a, *args, **kwargs):
+                if np.shape(a)[-1] > 2:
+                    raise AssertionError(f"{fn.__name__} called on a {np.shape(a)} matrix")
+                return fn(a, *args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", small_only(np.linalg.eigvalsh))
+        report = steering_witness(ghz_noise_assemblage(8, 0.0, 0.5), collective_jz(8))
+        f_ref, v_ref = ghz_noise_closed_forms(8, 0.5)
+        assert abs(report.cond_qfi - f_ref) < 1e-12 * f_ref and abs(report.cond_var - v_ref) < 1e-12
+        assert abs(report.var_reduced - (0.5 * 64 + 0.5 * 8) / 4) < 1e-12 and abs(report.qfi_reduced) < 1e-12
+
+
+class TestNoSignallingCheck:
+    """The check compares F F^dag + floor I entry by entry, one block of rows at a time."""
+
+    def test_deviation_past_the_first_row_block(self):
+        # d_B = 300 splits the comparison into two blocks of rows; the largest deviation sits in the last row
+        d = 300
+        last = np.zeros((d, 1), dtype=complex)
+        last[-1] = 1.0
+        mixed = Spectrum(np.zeros(0), np.zeros((d, 0), dtype=complex), 1.0 / d)
+        tilted = Spectrum(np.array([1.0 / d + 0.01]), last, (1.0 - 1.0 / d - 0.01) / (d - 1))
+        a = SettingRecord("a", np.array([1.0]), (mixed,))
+        with pytest.raises(ValidationError) as err:
+            make_assemblage([a, SettingRecord("b", np.array([1.0]), (tilted,))], d)
+        assert str(err.value) == "no-signalling violated: marginal of 'b' deviates from 'a' by 1.000e-02 (max-abs)"
+        assert make_assemblage([a, SettingRecord("a2", np.array([1.0]), (mixed,))], d).labels == ("a", "a2")

@@ -3,9 +3,11 @@ import pytest
 import scipy.optimize
 
 from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, outer
+from steerkit.assemblage import SettingRecord
 from steerkit.metrology import (
     as_state,
     cfi,
+    expectation,
     make_povm,
     povm_from_basis,
     qfi,
@@ -14,9 +16,10 @@ from steerkit.metrology import (
     var_qfi_gap,
     variance,
 )
+from steerkit.pure import _setting_matrices, gellmann_basis
 from steerkit.states import coherent_amplitudes, fock_space
 
-from conftest import I2, SX, SY, SZ, random_density, random_hermitian, random_pure, random_unitary
+from conftest import I2, SX, SY, SZ, random_density, random_floored_state, random_hermitian, random_pure, random_unitary
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
@@ -302,3 +305,68 @@ class TestVarQFIGap:
             direct = variance(rho, h) - qfi(rho, h) / 4.0
             assert gap >= -1e-12
             assert abs(gap - direct) < 1e-9
+
+
+def floored_cases(rng):
+    """Seeded floored states: d = 2..6, r = 1..d-1, floor 0, small, or equal to the smallest eigenvalue."""
+    for d in range(2, 7):
+        for r in range(1, d):
+            for floor in (0.0, 1e-3, "min"):
+                yield random_floored_state(rng, d, r, floor)
+
+
+def close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(b), 1.0)
+
+
+class TestFloor:
+    """A floored spectrum gives what its dense reconstruction gives, to 1e-12 relative."""
+
+    def test_functionals_match_reconstruction(self, rng):
+        for st in floored_cases(rng):
+            d = st.dim
+            rho = st.reconstruct()
+            assert close(float(np.trace(rho).real), 1.0)
+            h = random_hermitian(rng, d)
+            povms = (
+                povm_from_basis(random_unitary(rng, d)),
+                make_povm([np.diag(np.linspace(0.2, 0.8, d)), np.diag(np.linspace(0.8, 0.2, d))]),
+            )
+            assert close(expectation(st, h), expectation(rho, h))
+            assert close(variance(st, h), variance(rho, h))
+            assert close(qfi(st, h), qfi(rho, h))
+            for povm in povms:
+                assert close(cfi(povm, st, h), cfi(povm, rho, h))
+            for op in (h, 2.5 * np.eye(d)):
+                gap, saturated = var_qfi_gap(st, op)
+                gap_ref, saturated_ref = var_qfi_gap(rho, op)
+                assert close(gap, gap_ref) and saturated == saturated_ref
+
+    def test_setting_matrices_match_reconstruction(self, rng):
+        for d in range(2, 5):
+            gens = np.stack(gellmann_basis(d).generators)
+            states = [random_floored_state(rng, d, r, floor) for r in range(1, d) for floor in (0.0, 1e-3, "min")]
+            probs = rng.dirichlet(np.ones(len(states)))
+            floored = SettingRecord("x", probs, tuple(states))
+            dense = SettingRecord("x", probs, tuple(as_state(st.reconstruct()) for st in states))
+            for got, ref in zip(_setting_matrices(floored, gens), _setting_matrices(dense, gens)):
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+    def test_white_noise_floor_is_exact(self, rng):
+        v = random_pure(rng, 5)
+        st = Spectrum(np.array([0.7 + 0.3 / 5]), v[:, None], 0.3 / 5)
+        assert np.max(np.abs(st.reconstruct() - (0.7 * outer(v) + 0.3 * np.eye(5) / 5))) < 1e-15
+        assert qfi(Spectrum(np.array([0.2]), v[:, None], 0.2), random_hermitian(rng, 5)) == 0.0
+
+    def test_as_state_checks_the_floor(self):
+        v = np.eye(3, dtype=complex)
+        assert as_state(Spectrum(np.array([0.2, 0.6]), v[:, :2], 0.2)).floor == 0.2
+        with pytest.raises(ValidationError, match="negative floor"):
+            as_state(Spectrum(np.array([0.6, 0.6]), v[:, :2], -0.2))
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            as_state(Spectrum(np.array([0.1, 0.7]), v[:, :2], 0.2))
+        with pytest.raises(ValidationError, match="sum to"):
+            as_state(Spectrum(np.array([0.5]), v[:, :1], 0.2))
+        # judged at block scale: p rho with p = 1e-8
+        st = as_state(Spectrum(1e-8 * np.array([0.2, 0.6]), v[:, :2], 1e-8 * 0.2), 1e-8)
+        assert close(st.floor, 0.2) and np.allclose(st.eigenvalues, [0.2, 0.6], rtol=1e-12)

@@ -10,7 +10,7 @@ from steerkit.metrology import povm_from_basis, variance
 from steerkit.sampling import epr_product_check, moment_estimator_validation, sample_outcomes
 from steerkit.states import spin_ops, split_dicke_fixed, wigner_rotation_matrix
 
-from conftest import SX, SY, SZ, random_density, random_hermitian
+from conftest import SX, SY, SZ, random_density, random_floored_state, random_hermitian
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
@@ -177,3 +177,22 @@ class TestSamplingErrors:
         bad_state = np.diag([0.7, 0.2]).astype(complex)  # trace 0.9
         with pytest.raises(ValidationError, match="sum"):
             sample_outcomes(bad_state, povm_from_basis(np.eye(2)), 100, 1)
+
+
+class TestFloor:
+    """Sampling from a floored state draws what its dense reconstruction draws."""
+
+    def test_joint_distribution_matches_dense(self, rng):
+        st = random_floored_state(rng, 6, 2, 0.05)
+        settings = [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))]
+        floored = assemblage_from_state(st, (2, 3), settings)
+        dense = assemblage_from_state(st.reconstruct(), (2, 3), settings)
+        h, m = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        runs = [
+            moment_estimator_validation(asm, h / 50, m, theta_true=0.01, n=5000, reps=20, seed=3, setting="sx")
+            for asm in (floored, dense)
+        ]
+        assert np.allclose(runs[0].estimates, runs[1].estimates, rtol=1e-9, atol=0)
+        assert abs(runs[0].predicted_var - runs[1].predicted_var) <= 1e-12 * runs[1].predicted_var
+        povm = povm_from_basis(np.eye(6))
+        assert np.array_equal(sample_outcomes(st, povm, 10_000, 5), sample_outcomes(st.reconstruct(), povm, 10_000, 5))

@@ -17,6 +17,7 @@ from steerkit.states import (
     ghz_state,
     ghz_vector,
     ghz_white_noise,
+    ghz_white_noise_state,
     hybrid_cat,
     spin_ops,
     split_dicke_beamsplitter,
@@ -193,6 +194,18 @@ class TestGHZWhiteNoise:
     def test_dimension_guard(self):
         with pytest.raises(ValidationError, match="capped"):
             ghz_white_noise(13, 0.0, 0.5)
+
+    def test_spectral_form_is_rank_one_over_the_floor(self):
+        st = ghz_white_noise_state(3, 0.4, 0.3)
+        vec = ghz_vector(3, 0.4)
+        assert st.eigenvalues.shape == (1,) and st.floor == 0.7 / 8
+        assert np.allclose(st.eigenvectors[:, 0], vec, atol=0)
+        dense = 0.3 * np.outer(vec, vec.conj()) + 0.7 * np.eye(8) / 8
+        assert np.max(np.abs(ghz_white_noise(3, 0.4, 0.3) - dense)) < 1e-15
+        with pytest.raises(ValidationError, match="capped"):
+            ghz_white_noise_state(13, 0.0, 0.5)
+        with pytest.raises(ValidationError, match="probability"):
+            ghz_white_noise_state(3, 0.0, 1.5)
 
 
 class TestSplitDickeFixed:
