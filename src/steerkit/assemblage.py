@@ -5,9 +5,10 @@ probabilities together with Bob's conditional states.  Each conditional state
 is stored once in spectral form (``linalg.Spectrum``, checked by
 ``metrology.as_state``).  A global state V diag(lam) V^dag + mu (I - V V^dag)
 is conditioned through its factor V sqrt(lam - mu): each outcome's block is
-G G^dag plus the floor mu tr(E_a), and its spectrum comes from G, a d_B x r
-matrix, so neither the pure nor the white-noise GHZ state builds a
-d_B x d_B matrix.  Bob's reduced state comes the same way from the factor F
+G G^dag plus the floor mu tr(E_a), with G = K_a^dag V sqrt(lam - mu) for the
+POVM factor K_a of E_a = K_a K_a^dag, and its spectrum comes from G, a
+d_B x (k_a r) matrix, so neither the pure nor the white-noise GHZ state builds
+a d_B x d_B matrix.  Bob's reduced state comes the same way from the factor F
 whose columns are sqrt(p_a (lam_i - mu_a)) v_i, plus the summed floors.
 
 The max/min over settings ranges over the finitely many settings supplied by
@@ -28,7 +29,6 @@ from .linalg import (
     ValidationError,
     dagger,
     factor_spectrum,
-    hermitian_eig,
     max_abs_by_rows,
     require_density_matrix,
     require_hermitian,
@@ -183,35 +183,19 @@ def _labelled(settings):
     return settings.items() if isinstance(settings, dict) else settings
 
 
-def _effect_rows(povm: POVM):
-    """Per outcome, rows R with R^dag R = E_a.
-
-    A projective POVM gives its conjugated basis vector; another effect gives
-    sqrt(w) e^dag for each eigenpair (w, e) of its support.
-    """
-    if povm.vectors is not None:
-        return [vec.conj() for vec in povm.vectors]
-    rows = []
-    for eff in povm.effects:
-        spec = hermitian_eig(eff).support()
-        rows.append(dagger(spec.eigenvectors * np.sqrt(spec.eigenvalues)))
-    return rows
-
-
 def _conditioned(rows, f: np.ndarray, d_b: int, floor: float):
     """(p(a), block) of one outcome, for rho_AB = F F^dag + floor I with F of shape (d_A, d_B * r).
 
-    tr_A[(E (x) 1) rho_AB] = G G^dag + floor tr(E) I, where G = R F with its
-    columns regrouped to d_B rows, and p(a) = ||G||_F^2 + floor tr(E) d_B.  A
-    single column without a floor stays an amplitude row.
+    ``rows`` is K^dag for the outcome's effect E = K K^dag (``POVM.factors``).
+    tr_A[(E (x) 1) rho_AB] = G G^dag + floor tr(E) I, where G = K^dag F with
+    its columns regrouped to d_B rows, and p(a) = ||G||_F^2 + floor tr(E) d_B.
+    A single column without a floor stays an amplitude row.
     """
     g = rows @ f
-    if g.shape == (d_b,) and not floor:
-        return float(np.vdot(g, g).real), g
-    if g.ndim == 1:
-        g = g.reshape(d_b, -1)
-    else:  # one (d_B, r) block per eigenpair of the effect, side by side
-        g = np.moveaxis(g.reshape(len(g), d_b, f.shape[1] // d_b), 0, 1).reshape(d_b, -1)
+    if g.shape == (1, d_b) and not floor:
+        return float(np.vdot(g, g).real), g[0]
+    # one (d_B, r) block per column of K, side by side
+    g = np.moveaxis(g.reshape(len(g), d_b, f.shape[1] // d_b), 0, 1).reshape(d_b, -1)
     mu = floor * float(np.vdot(rows, rows).real)
     return float(np.vdot(g, g).real) + mu * d_b, factor_spectrum(g, mu)
 
@@ -235,7 +219,7 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
     for label, povm in _labelled(settings):
         if povm.dim != d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
-        weighted = (_conditioned(rows, f, d_b, st.floor) for rows in _effect_rows(povm))
+        weighted = (_conditioned(dagger(k), f, d_b, st.floor) for k in povm.factors)
         recs.append(_setting(label, povm.labels, weighted))
     return make_assemblage(recs, d_b)
 

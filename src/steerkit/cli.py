@@ -191,7 +191,7 @@ def _witness_input(path: str) -> Assemblage | BipartitePureState:
             "witness needs a bipartite pure state or an assemblage; a bare density "
             "matrix does not determine Alice's settings"
         )
-    raise SchemaError(f"$.type: expected 'bipartite_pure_state' or 'density_matrix', got {kind!r}")
+    raise SchemaError(f"$.type: expected 'assemblage' or 'bipartite_pure_state', got {kind!r}")
 
 
 def _cmd_witness(args):

@@ -354,6 +354,8 @@ def cat_rows(alphas):
 # ---------------------------------------------------------------------------
 
 def quantify_rows(step: float = 0.01):
+    if not 0.0 < step <= 1.0:
+        raise ValidationError(f"quantify step must lie in (0, 1], got {step}")
     header = ["x", "y", "s_max", "s_avg_scaled"]
     steps = int(round(1.0 / step))
     grid = []

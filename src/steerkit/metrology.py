@@ -7,7 +7,9 @@ direction, so white noise p |psi><psi| + (1-p) I/d is r = 1 with
 mu = (1-p)/d.  ``as_state`` is the one coercion: an amplitude vector is the
 r = 1 case, a density matrix gets one eigendecomposition, and a Spectrum is
 checked.  With H V in hand, expectation values, variances and the QFI cost
-O(d^2 r); the floor adds its share through tr H and ||H||_F^2.
+O(d^2 r); the floor adds its share through tr H and ||H||_F^2.  A POVM is
+stored as one factor K_a per outcome, E_a = K_a K_a^dag, so outcome
+probabilities come from K_a^dag V and no effect is formed as a d x d matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     ValidationError,
     as_complex_matrix,
     dagger,
-    outer,
     require_hermitian,
     require_state_vector,
 )
@@ -32,65 +33,68 @@ from .states import white_noise_mixture
 
 @dataclass(frozen=True)
 class POVM:
-    """A generalized measurement: positive effects summing to the identity.
+    """A generalized measurement: effects E_a = K_a K_a^dag summing to the identity.
 
-    ``vectors`` is set by ``povm_from_basis``, where ``effects[i] == |v_i><v_i|``
-    by construction; pure-state code then conditions on amplitudes instead
-    of matrices.
+    Each outcome is stored as its factor K_a alone, a d x k_a matrix with k_a
+    the rank of E_a; a projective POVM's factors are its basis columns (k_a = 1).
     """
 
-    effects: tuple[np.ndarray, ...]
+    factors: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
-    vectors: tuple[np.ndarray, ...] | None = None
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.factors[0].shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return len(self.factors)
 
 
 def make_povm(effects, labels=None) -> POVM:
-    """Validate effects (PSD, summing to identity) and build a POVM."""
+    """Validate effects (PSD, summing to identity) and build a POVM.
+
+    Each effect is diagonalised once: its lowest eigenvalue w is the PSD check,
+    and its eigenpairs (w, e) above ``matrix_rank``'s cutoff give K_a = e sqrt(w).
+    """
     mats = tuple(as_complex_matrix(e, "POVM effect") for e in effects)
     if not mats:
         raise ValidationError("POVM needs at least one effect")
     dim = mats[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
+    factors = []
     for i, eff in enumerate(mats):
         eff = require_hermitian(eff, name=f"POVM effect {i}")
         if eff.shape != (dim, dim):
             raise ValidationError(f"POVM effect {i} has shape {eff.shape}, expected ({dim}, {dim})")
-        lo = float(np.linalg.eigvalsh(eff)[0])
-        if lo < TOL.psd:
-            raise ValidationError(f"POVM effect {i} has negative eigenvalue {lo:.3e}")
-        total += eff
-    return _complete_povm(total, mats, labels)
+        w, e = np.linalg.eigh(eff)
+        if w[0] < TOL.psd:
+            raise ValidationError(f"POVM effect {i} has negative eigenvalue {float(w[0]):.3e}")
+        keep = w > max(w[-1], 0.0) * dim * np.finfo(float).eps
+        factors.append(e[:, keep] * np.sqrt(w[keep]))
+    return _complete_povm(factors, labels)
 
 
 def povm_from_basis(basis, labels=None) -> POVM:
     """Projective POVM {|v_i><v_i|} from the columns v_i of a complete basis.
 
-    Rank-1 projectors are Hermitian and positive by construction, so the one
-    check is completeness, max |V V^dag - I| <= ``TOL.povm_identity``: the
-    condition ``make_povm`` applies to the summed effects.
+    Column i is outcome i's d x 1 factor, so the POVM holds the basis matrix
+    and nothing else; rank-1 projectors are Hermitian and positive by
+    construction, so completeness is the one check.
     """
     mat = as_complex_matrix(basis, "basis")
-    vectors = tuple(mat[:, i] for i in range(mat.shape[1]))
-    return _complete_povm(mat @ dagger(mat), [outer(v) for v in vectors], labels, vectors)
+    return _complete_povm([mat[:, i : i + 1] for i in range(mat.shape[1])], labels)
 
 
-def _complete_povm(total: np.ndarray, effects, labels, vectors=None) -> POVM:
-    """Check the summed effects ``total`` against the identity, then label and build the POVM."""
-    dev = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+def _complete_povm(factors, labels) -> POVM:
+    """Check max |sum_a K_a K_a^dag - I| <= ``TOL.povm_identity`` with one matmul, then label and build the POVM."""
+    stacked = np.concatenate(factors, axis=1)
+    dev = float(np.max(np.abs(stacked @ dagger(stacked) - np.eye(stacked.shape[0]))))
     if dev > TOL.povm_identity:
         raise ValidationError(f"POVM effects sum deviates from identity by {dev:.3e}")
-    labels = tuple(str(i) for i in range(len(effects))) if labels is None else tuple(str(lab) for lab in labels)
-    if len(labels) != len(effects):
+    labels = tuple(str(i) for i in range(len(factors))) if labels is None else tuple(str(lab) for lab in labels)
+    if len(labels) != len(factors):
         raise ValidationError("POVM labels and effects differ in length")
-    return POVM(effects=tuple(effects), labels=labels, vectors=vectors)
+    return POVM(factors=tuple(factors), labels=labels)
 
 
 def as_state(state, p: float = 1.0, name: str = "state") -> Spectrum:
@@ -200,28 +204,36 @@ def qfi_white_noise(psi, generator, p: float) -> float:
     return qfi(white_noise_mixture(psi, p), generator)
 
 
+def _outcomes(povm: POVM, st: Spectrum):
+    """(label, K_a^dag, K_a^dag V, p_a) per outcome a, where p_a = tr(E_a rho)
+    = sum_i (lam_i - mu) ||K_a^dag v_i||^2 + mu ||K_a||_F^2 forms no d x d effect."""
+    if povm.dim != st.dim:
+        raise ValidationError(f"POVM dimension {povm.dim} does not match state dimension {st.dim}")
+    w = st.eigenvalues - st.floor
+    for lab, k in zip(povm.labels, povm.factors):
+        rows = dagger(k)
+        kv = rows @ st.eigenvectors
+        p = float(w @ np.vecdot(kv, kv, axis=0).real)
+        if st.floor:
+            p += st.floor * float(np.vdot(k, k).real)
+        yield lab, rows, kv, p
+
+
 def cfi(povm: POVM, state, generator) -> float:
     """Classical Fisher information at theta = 0 of p(x|theta) = tr[E_x rho_theta].
 
     The derivative is analytic: d_theta p(x|0) = -i tr(E_x [H, rho])
-    = 2 sum_i (lam_i - floor) Im <E_x v_i|H v_i>: the floor's identity part
-    commutes with H.
+    = 2 sum_i (lam_i - floor) Im <K_x^dag v_i|K_x^dag H v_i>: the floor's
+    identity part commutes with H.
     Outcomes with p < prob_floor and |dp| < prob_floor contribute 0; an
     outcome with p < prob_floor but |dp| >= prob_floor makes the Fisher
     information singular and raises.
     """
     st, _, hv = _rotate(state, generator, "generator")
-    if povm.dim != st.dim:
-        raise ValidationError(f"POVM dimension {povm.dim} does not match state dimension {st.dim}")
-    v, mu = st.eigenvectors, st.floor
-    w = st.eigenvalues - mu
+    w = st.eigenvalues - st.floor
     total = 0.0
-    for eff, lab in zip(povm.effects, povm.labels):
-        ev = eff @ v
-        p = float(w @ np.vecdot(v, ev, axis=0).real)
-        if mu:
-            p += mu * float(np.trace(eff).real)
-        dp = 2.0 * float(w @ np.vecdot(ev, hv, axis=0).imag)
+    for lab, rows, kv, p in _outcomes(povm, st):
+        dp = 2.0 * float(w @ np.vecdot(kv, rows @ hv, axis=0).imag)
         if p < TOL.prob_floor:
             if abs(dp) < TOL.prob_floor:
                 continue

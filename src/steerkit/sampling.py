@@ -13,7 +13,7 @@ import numpy as np
 
 from .assemblage import Assemblage, conditional_variance
 from .linalg import NumericError, ValidationError, hermitian_eig, require_hermitian, unitary_from_generator
-from .metrology import POVM, as_state, expectation, variance
+from .metrology import POVM, _outcomes, as_state, expectation, variance
 
 _FD_STEP = 1e-5  # finite-difference step for the derivative cross-check
 
@@ -27,10 +27,7 @@ def _rng(*key_words: int) -> np.random.Generator:
 
 def sample_outcomes(state, povm: POVM, n: int, rng_seed: int) -> np.ndarray:
     """Multinomial outcome counts for measuring ``povm`` on ``state``."""
-    st = as_state(state)
-    if povm.dim != st.dim:
-        raise ValidationError(f"POVM dimension {povm.dim} != state dimension {st.dim}")
-    probs = np.array([expectation(st, e) for e in povm.effects])
+    probs = np.array([p for *_, p in _outcomes(povm, as_state(state))])
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {probs.sum():.12f}, not 1")
     probs = np.clip(probs, 0.0, None)
@@ -89,6 +86,8 @@ def moment_estimator_validation(
     ``predicted_var`` = Var[M_est] / (n |d<M_est - M>/dtheta|^2) in the
     central limit.
     """
+    if n < 1 or reps < 2:
+        raise ValidationError(f"need n >= 1 shots and reps >= 2 repetitions, got n = {n}, reps = {reps}")
     h = require_hermitian(h, name="H")
     adaptive = isinstance(m, (list, tuple))
     if adaptive:
@@ -193,7 +192,7 @@ def epr_product_check(
     var_h_est, _ = conditional_variance(assemblage, h)
     product = run.empirical_var * var_h_est
     bound = 1.0 / (4.0 * float(n))
-    guard = 5.0 * np.sqrt(2.0 / max(int(reps) - 1, 1))
+    guard = 5.0 * np.sqrt(2.0 / (int(reps) - 1))
     threshold = bound * (1.0 - guard)
     return ProductCheck(
         product=product,

@@ -344,7 +344,7 @@ class TestBoundsAndStructure:
             vals, vecs = np.linalg.eigh(eff)
             return [max(v, 0) * outer(vecs[:, i]) for i, v in enumerate(vals)]
 
-        fine_effects = [piece for eff in coarse.effects for piece in split(eff)]
+        fine_effects = [piece for k in coarse.factors for piece in split(k @ k.conj().T)]
         fine = make_povm(fine_effects)
         asm_coarse = assemblage_from_state(state_rho, (2, 2), [("coarse", coarse)])
         asm_fine = assemblage_from_state(state_rho, (2, 2), [("fine", fine)])

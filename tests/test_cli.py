@@ -18,6 +18,32 @@ def run_cli(args, tmp_path=None):
     return main(list(args))
 
 
+# Invalid command lines, each of which must exit with 2; "{tmp}" is the
+# ``witness_files`` directory.
+INVALID_COMMANDS = {
+    "split-dicke_odd_n": ["split-dicke", "--n", "5"],
+    "split-dicke_k_too_large": ["split-dicke", "--n", "4", "--k", "9"],
+    "ghz_n0": ["ghz", "--n", "0"],
+    "ghz-noise_p_above_1": ["ghz-noise", "--n", "2", "--noise", "1.5"],
+    "cat_negative_alpha": ["cat", "--alpha", "-1"],
+    "multigen_d1": ["multigen", "--d", "1"],
+    "estimate_shots0": ["estimate", "--shots", "0"],
+    "estimate_reps1": ["estimate", "--reps", "1"],
+    "estimate_reps0": ["estimate", "--reps", "0"],
+    "quantify_step0": ["quantify", "--step", "0"],
+    "quantify_negative_step": ["quantify", "--step", "-0.1"],
+    "witness_unknown_type": ["witness", "{tmp}/foo.json", "--observable", "{tmp}/obs.json"],
+}
+
+
+@pytest.fixture
+def witness_files(tmp_path):
+    """tmp_path holding foo.json, a witness input of unknown "type", and obs.json, an observable."""
+    (tmp_path / "foo.json").write_text('{"type": "foo"}', encoding="utf-8")
+    save_json({"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, tmp_path / "obs.json")
+    return tmp_path
+
+
 class TestParseRange:
     def test_single_value(self):
         assert parse_range("5", int) == [5]
@@ -43,9 +69,15 @@ class TestExitCodes:
         code = run_cli(["ghz", "--n", "2", "--out", str(tmp_path / "o.csv")])
         assert code == 0
 
-    def test_validation_error_is_2(self, tmp_path):
-        code = run_cli(["split-dicke", "--n", "5", "--out", str(tmp_path / "o.csv")])
-        assert code == 2
+    @pytest.mark.parametrize("argv", list(INVALID_COMMANDS.values()), ids=list(INVALID_COMMANDS))
+    def test_validation_error_is_2(self, argv, witness_files):
+        argv = [a.format(tmp=witness_files) for a in argv]
+        assert run_cli(argv + ["--out", str(witness_files / "o.csv")]) == 2
+
+    def test_unknown_witness_type_names_accepted_types(self, witness_files, capsys):
+        argv = ["witness", str(witness_files / "foo.json"), "--observable", str(witness_files / "obs.json")]
+        assert run_cli(argv) == 2
+        assert "$.type: expected 'assemblage' or 'bipartite_pure_state', got 'foo'" in capsys.readouterr().err
 
     def test_schema_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"

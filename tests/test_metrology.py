@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -16,8 +18,10 @@ from steerkit.metrology import (
     var_qfi_gap,
     variance,
 )
+from steerkit.experiments import spin_x_setting
 from steerkit.pure import _setting_matrices, gellmann_basis
-from steerkit.states import coherent_amplitudes, fock_space
+from steerkit.sampling import sample_outcomes
+from steerkit.states import coherent_amplitudes, fock_space, wigner_rotation_matrix
 
 from conftest import I2, SX, SY, SZ, random_density, random_floored_state, random_hermitian, random_pure, random_unitary
 
@@ -36,7 +40,7 @@ class TestPOVM:
     def test_projective_factory(self):
         povm = povm_from_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert povm.n_outcomes == 2
-        assert np.allclose(sum(povm.effects), I2)
+        assert np.allclose(sum(k @ k.conj().T for k in povm.factors), I2)
 
     def test_projective_factory_rejects_incomplete_basis(self):
         with pytest.raises(ValidationError, match="deviates from identity"):
@@ -47,10 +51,65 @@ class TestPOVM:
             povm_from_basis(np.eye(2), labels=["only"])
 
     def test_projective_factory_certifies_rank_one(self):
-        povm = povm_from_basis(random_unitary(np.random.default_rng(5), 3), labels="abc")
+        basis = random_unitary(np.random.default_rng(5), 3)
+        povm = povm_from_basis(basis, labels="abc")
         assert povm.labels == ("a", "b", "c")
-        for eff, vec in zip(povm.effects, povm.vectors):
-            assert np.allclose(eff, outer(vec), atol=1e-15)
+        for k, vec in zip(povm.factors, basis.T):
+            assert np.allclose(k @ k.conj().T, outer(vec), atol=1e-15)
+
+
+class TestPOVMFactors:
+    """Each outcome is stored as its factor K_a alone, E_a = K_a K_a^dag, and read through it."""
+
+    def test_projective_povm_holds_only_its_basis(self):
+        basis = np.asarray(wigner_rotation_matrix(100, np.pi / 2.0), dtype=complex)
+        povm = spin_x_setting(100)
+        assert [f.name for f in dataclasses.fields(povm)] == ["factors", "labels"]
+        assert [k.shape for k in povm.factors] == [(101, 1)] * 101
+        assert sum(k.nbytes for k in povm.factors) == basis.nbytes
+
+    def test_make_povm_factors_reproduce_effects_at_their_rank(self, rng):
+        d = 4
+        u, v = random_unitary(rng, d), random_unitary(rng, d)
+        weights = np.array([[0.3, 0.7, 0.0, 0.0], [0.7, 0.0, 0.5, 0.0], [0.0, 0.3, 0.5, 1.0]])
+        cases = (
+            ([0.5 * (outer(u[:, i]) + outer(v[:, i])) for i in range(d)], [2] * d),  # unsharp
+            ([(u * w) @ u.conj().T for w in weights], [2, 2, 3]),  # rank-deficient
+        )
+        for effects, ranks in cases:
+            povm = make_povm(effects)
+            assert [k.shape for k in povm.factors] == [(d, r) for r in ranks]
+            for k, eff in zip(povm.factors, effects):
+                assert np.max(np.abs(k @ k.conj().T - eff)) < 1e-12
+
+    def test_probabilities_are_traces_of_the_effects(self, rng, monkeypatch):
+        from steerkit import sampling
+        from steerkit.metrology import _outcomes
+
+        drawn = []
+
+        class Draw:  # records the distribution ``sample_outcomes`` samples from
+            def multinomial(self, n, pvals):
+                drawn.append(pvals)
+                return np.zeros(len(pvals), dtype=int)
+
+        monkeypatch.setattr(sampling, "_rng", lambda *key: Draw())
+        for st in floored_cases(rng):
+            d = st.dim
+            rho = st.reconstruct()
+            h = random_hermitian(rng, d)
+            u, v = random_unitary(rng, d), random_unitary(rng, d)
+            for effects in (
+                [outer(u[:, i]) for i in range(d)],
+                [0.5 * (outer(u[:, i]) + outer(v[:, i])) for i in range(d)],
+            ):
+                povm = make_povm(effects)
+                probs = np.array([np.trace(e @ rho).real for e in effects])
+                slopes = np.array([(-1j * np.trace(e @ (h @ rho - rho @ h))).real for e in effects])
+                assert np.max(np.abs([p for *_, p in _outcomes(povm, st)] - probs)) < 1e-12
+                assert close(cfi(povm, st, h), float(np.sum(slopes**2 / probs)), rel=1e-9)
+                sample_outcomes(st, povm, 10_000, 5)
+                assert np.max(np.abs(drawn.pop() - probs)) < 1e-12
 
 
 class TestVariance:

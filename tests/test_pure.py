@@ -148,8 +148,8 @@ class TestOptimalPOVMs:
             mean = float(np.trace(rho_b @ h).real)
             povm = optimal_povm_qfi(state, h)
             psi = state.matrix
-            for vec in povm.vectors:
-                amp = vec.conj() @ psi
+            for k in povm.factors:
+                amp = k[:, 0].conj() @ psi
                 q = float(np.vdot(amp, amp).real)
                 if q < 1e-12:
                     continue
@@ -189,7 +189,7 @@ class TestOptimalPOVMs:
         ):
             povm = builder(state, h)
             assert povm.n_outcomes == 4
-            total = sum(povm.effects)
+            total = sum(k @ k.conj().T for k in povm.factors)
             assert np.max(np.abs(total - np.eye(4))) < 1e-10
             asm = assemblage_from_pure_state(state, [("opt", povm)])
             rho_b = state.reduced_b()
