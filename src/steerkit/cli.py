@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cat)
 
     p = sub.add_parser("quantify", help="pure-state quantifiers on the d=3 simplex")
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=float, default=0.01, help="grid spacing; must divide 1 (default 0.01)")
     add_common(p)
     p.set_defaults(func=_cmd_quantify)
 

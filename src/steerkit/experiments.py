@@ -2,7 +2,9 @@
 
 Each ``*_rows`` function returns (header, rows) where every row pairs computed
 quantities with the analytic reference value when one exists (empty cell
-otherwise).  Parameter grids are evaluated in grid order.
+otherwise).  Parameter grids are evaluated in grid order; the partition-noise
+table (all ks at once, one pass per N_A sector) and the ``quantify`` simplex
+(one stack of spectra) are evaluated whole, as arrays.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .assemblage import (
     conditional_variance,
     steering_witness,
 )
-from .linalg import TOL, NumericError, Spectrum, ValidationError
-from .metrology import POVM, povm_from_basis, qfi, variance
+from .linalg import TOL, NumericError, ValidationError
+from .metrology import POVM, povm_from_basis, qfi
 from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure
 from .sampling import epr_product_check
 from .states import (
@@ -222,73 +224,75 @@ class PartitionQuantities:
 
 
 def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuantities:
-    """Sector-blocked evaluation of the partition-noise split Dicke example.
+    """Witness quantities of one beam-splitter split Dicke state: the one-k case of
+    ``split_dicke_partition_table``."""
+    return split_dicke_partition_table(n, p, [k])[0]
+
+
+def split_dicke_partition_table(n: int, p: float, k_values) -> list[PartitionQuantities]:
+    """Sector-blocked evaluation of the partition-noise split Dicke example, all ks at once.
 
     Alice reads out (J_z or J_x) together with her particle number N_A;
     conditional states live in single (N_B = n - N_A) spin sectors, so the
-    witness quantities decompose over sectors and n = 100 stays cheap.
+    witness quantities decompose over sectors and n = 100 stays cheap.  Each
+    N_A sector is one array pass: the (k, k_A) amplitude matrix of every
+    requested k, and the J_x readout as its weights times the quarter-turn
+    overlap.  Results follow the order of ``k_values``, duplicates included.
     """
-    n, k = int(n), int(k)
-    if n < 1 or not 0 <= k <= n:
-        raise ValidationError(f"invalid Dicke parameters k={k}, n={n}")
+    n, ks = int(n), [int(k) for k in k_values]
+    for k in ks:
+        if n < 1 or not 0 <= k <= n:
+            raise ValidationError(f"invalid Dicke parameters k={k}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"splitting ratio must be in [0, 1], got {p}")
-    cond_qfi_x = 0.0
-    m1_red = m2_red = 0.0
-    qfi_red = 0.0
-    total_weight = 0.0
+    ks = np.array(ks, dtype=int)
+    cond_qfi, m1_red, m2_red, total_weight = np.zeros((4, ks.size))
     for n_a in range(0, n + 1):
-        amps = partition_sector_amplitudes(n, k, p, n_a)
-        weights = amps**2
-        sector_weight = float(weights.sum())
-        if sector_weight < TOL.prob_floor:
+        weights = partition_sector_amplitudes(n, ks, p, n_a) ** 2  # (k, k_A)
+        sector_weight = weights.sum(axis=1)
+        kept = sector_weight >= TOL.prob_floor
+        if not kept.any():
             continue
-        total_weight += sector_weight
-        n_b = n - n_a
-        k_a_vals = np.arange(n_a + 1)
-        jz_vals = (k - k_a_vals) - n_b / 2.0  # J_z^B eigenvalue of |k - k_A>_{N_B}
+        weights[~kept] = 0.0
+        total_weight += np.where(kept, sector_weight, 0.0)
+        jz_vals = (ks[:, None] - np.arange(n_a + 1)) - (n - n_a) / 2.0  # J_z^B eigenvalue of |k - k_A>_{N_B}
+        first = weights * jz_vals
+        second = weights * jz_vals**2
+        m1_red += first.sum(axis=1)
+        m2_red += second.sum(axis=1)
 
-        m1_red += float(np.dot(weights, jz_vals))
-        m2_red += float(np.dot(weights, jz_vals**2))
-
-        # Reduced state restricted to this sector is diagonal (V = I, no
-        # decomposition); its QFI block enters with the sector weight.
-        occupied = weights > 0.0
-        r = int(occupied.sum())
-        if r > 0:
-            block = Spectrum(weights[occupied] / sector_weight, np.eye(r, dtype=complex))
-            h_block = np.diag(jz_vals[occupied]).astype(complex)
-            qfi_red += sector_weight * qfi(block, h_block)
-
-        # J_x^A readout: rotate the sector amplitudes with the quarter-turn
-        # overlap matrix; conditional states stay pure.
+        # J_x^A readout: outcome a has weight sum_j |<a|j>|^2 w_j (quarter-turn
+        # overlap); conditional states stay pure.  One vector-matrix product
+        # per k keeps each row independent of the other ks requested.
         w = np.asarray(wigner_rotation_matrix(n_a, math.pi / 2.0))
-        overlap = (w * w).T
-        probs_x = overlap @ weights
-        m1 = overlap @ (weights * jz_vals)
-        m2 = overlap @ (weights * jz_vals**2)
+        probs_x, m1, m2 = (np.stack([weights, first, second])[..., None, :] @ (w * w))[..., 0, :]
         live = probs_x > TOL.prob_floor
-        spread = m2[live] - m1[live] ** 2 / probs_x[live]  # p(a) Var[J_z^B] per outcome
+        spread = np.where(live, m2 - m1**2 / np.where(live, probs_x, 1.0), 0.0)  # p(a) Var[J_z^B] per outcome
         worst = float(spread.min(initial=0.0))
         if worst < -1e-12:
             raise NumericError(f"conditional variance came out {worst:.3e}; inputs are inconsistent")
-        cond_qfi_x += 4.0 * float(np.sum(np.maximum(spread, 0.0)))
-    if abs(total_weight - 1.0) > 1e-9:
-        raise ValidationError(f"sector weights sum to {total_weight}, not 1")
-    mean_jz = m1_red
+        cond_qfi += 4.0 * np.maximum(spread, 0.0).sum(axis=1)
+    off = np.abs(total_weight - 1.0) > 1e-9
+    if off.any():
+        raise ValidationError(f"sector weights sum to {total_weight[off][0]}, not 1")
     var_red = m2_red - m1_red**2
-    return PartitionQuantities(
-        n=n,
-        k=k,
-        p=float(p),
-        cond_var=0.0,  # the J_z^A readout leaves J_z^B eigenstates
-        cond_qfi=cond_qfi_x,
-        var_reduced=var_red,
-        var_reduced_ref=n / 4.0 * p * (1.0 - p),
-        qfi_reduced=qfi_red,
-        mean_jz=mean_jz,
-        mean_jz_ref=(k - n / 2.0) * (1.0 - p),
-    )
+    return [
+        PartitionQuantities(
+            n=n,
+            k=k,
+            p=float(p),
+            cond_var=0.0,  # the J_z^A readout leaves J_z^B eigenstates
+            cond_qfi=cq,
+            var_reduced=v,
+            var_reduced_ref=n / 4.0 * p * (1.0 - p),
+            # Bob's reduced state and J_z^B are both diagonal in his (N_B, k_B)
+            # basis, so they commute and the reduced-state QFI vanishes.
+            qfi_reduced=0.0,
+            mean_jz=m,
+            mean_jz_ref=(k - n / 2.0) * (1.0 - p),
+        )
+        for k, cq, v, m in zip(ks.tolist(), cond_qfi.tolist(), var_red.tolist(), m1_red.tolist())
+    ]
 
 
 def split_dicke_partition_rows(n: int, p: float, k_values):
@@ -302,12 +306,10 @@ def split_dicke_partition_rows(n: int, p: float, k_values):
         "qfi_reduced",
         "qfi_reduced_ref",
     ]
-
-    def one(k: int):
-        q = split_dicke_partition_quantities(n, k, p)
-        return [k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, q.var_reduced_ref, q.qfi_reduced, 0.0]
-
-    return header, parallel_map(one, [int(k) for k in k_values])
+    return header, [
+        [q.k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, q.var_reduced_ref, q.qfi_reduced, 0.0]
+        for q in split_dicke_partition_table(n, p, k_values)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +356,19 @@ def cat_rows(alphas):
 # ---------------------------------------------------------------------------
 
 def quantify_rows(step: float = 0.01):
+    """s_max and s_avg/8 over the d = 3 simplex grid of spacing ``step``, evaluated as one stack."""
     if not 0.0 < step <= 1.0:
         raise ValidationError(f"quantify step must lie in (0, 1], got {step}")
-    header = ["x", "y", "s_max", "s_avg_scaled"]
     steps = int(round(1.0 / step))
-    grid = []
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            grid.append((i, j))
-
-    def one(point):
-        i, j = point
-        x = i * step
-        y = j * step
-        spectrum = np.array([x, y, max(1.0 - x - y, 0.0)])
-        spectrum = spectrum / spectrum.sum()
-        return [x, y, s_max_pure(spectrum), s_avg_pure(spectrum) / 8.0]
-
-    return header, parallel_map(one, grid)
+    if abs(steps * step - 1.0) > 1e-9:
+        raise ValidationError(f"quantify step must divide 1 so the grid stays on the simplex, got {step}")
+    header = ["x", "y", "s_max", "s_avg_scaled"]
+    i, j = np.array([(i, j) for i in range(steps + 1) for j in range(steps + 1 - i)]).T
+    x, y = i * step, j * step
+    spectra = np.stack([x, y, np.maximum(1.0 - x - y, 0.0)], axis=1)
+    spectra = spectra / spectra.sum(axis=1, keepdims=True)
+    columns = (x, y, s_max_pure(spectra), s_avg_pure(spectra) / 8.0)
+    return header, [list(row) for row in zip(*(c.tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,3 @@ def unitary_from_generator(generator, angle: float) -> np.ndarray:
     phases = np.exp(-1j * float(angle) * spec.eigenvalues)
     v = spec.eigenvectors
     return (v * phases) @ dagger(v)
-
-
-def outer(vector: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
-    v = as_complex_vector(vector)
-    return np.outer(v, v.conj())

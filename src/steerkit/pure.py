@@ -171,40 +171,48 @@ def gellmann_basis(d: int) -> GeneratorBasis:
 
 
 def _check_distribution(p) -> np.ndarray:
+    """A probability vector, or a stack (..., d) of them, clipped at 0."""
     vec = np.asarray(p, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
+    if vec.ndim == 0 or vec.shape[-1] == 0:
         raise ValidationError("need a nonempty probability vector")
-    if float(vec.min()) < -1e-12 or abs(float(vec.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"not a probability vector: min {vec.min()}, sum {vec.sum()}")
+    low, total = vec.min(axis=-1), vec.sum(axis=-1)
+    bad = (low < -1e-12) | (np.abs(total - 1.0) > 1e-9)
+    if bad.any():
+        i = np.argwhere(bad)[0]
+        where = f" at stack index {tuple(i.tolist())}" if i.size else ""
+        raise ValidationError(f"not a probability vector{where}: min {low[tuple(i)]}, sum {total[tuple(i)]}")
     return np.clip(vec, 0.0, None)
 
 
-def s_max_pure(p) -> float:
+def s_max_pure(p):
     """Maximal witness violation of a pure state with Schmidt spectrum p.
 
-    Equals the largest eigenvalue of diag(p) - p p^T.
+    Equals the largest eigenvalue of diag(p) - p p^T.  ``p`` may be a stack
+    (..., d) of spectra, which gives an array of shape (...); one spectrum
+    gives a float.
     """
     vec = _check_distribution(p)
-    m = np.diag(vec) - np.outer(vec, vec)
-    return max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
+    m = vec[..., :, None] * np.eye(vec.shape[-1]) - vec[..., :, None] * vec[..., None, :]
+    top = np.linalg.eigvalsh(m)[..., -1]
+    top = np.where(0.0 > top, 0.0, top)
+    return float(top) if vec.ndim == 1 else top
 
 
-def s_avg_pure(p) -> float:
+def s_avg_pure(p):
     """Sphere-averaged witness violation of a pure state with Schmidt spectrum p.
 
-    sum_{i != j} p_i p_j (1 + 2/(p_i + p_j)), with 0/0 read as 0.
+    sum_{i != j} p_i p_j (1 + 2/(p_i + p_j)), with 0/0 read as 0, summed in
+    (i, j) order.  ``p`` may be a stack (..., d) of spectra, which gives an
+    array of shape (...); one spectrum gives a float.
     """
     vec = _check_distribution(p)
-    total = 0.0
-    for i in range(vec.size):
-        for j in range(vec.size):
-            if i == j:
-                continue
-            pair = vec[i] + vec[j]
-            if pair <= 0.0:
-                continue
-            total += vec[i] * vec[j] * (1.0 + 2.0 / pair)
-    return total
+    i, j = np.nonzero(~np.eye(vec.shape[-1], dtype=bool))
+    p_i, p_j = vec[..., i], vec[..., j]
+    pair = p_i + p_j
+    terms = np.where(pair > 0.0, p_i * p_j * (1.0 + 2.0 / np.where(pair > 0.0, pair, 1.0)), 0.0)
+    # a leading 0 and a running sum add the terms one at a time, in order
+    total = np.cumsum(np.concatenate([np.zeros(vec.shape[:-1] + (1,)), terms], axis=-1), axis=-1)[..., -1]
+    return float(total) if vec.ndim == 1 else total
 
 
 def assemblage_delta(assemblage: Assemblage, h) -> float:

@@ -221,33 +221,34 @@ def partition_labels(n: int) -> tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=16)
-def _log_factorials(n: int) -> tuple[float, ...]:
-    """log(m!) = lgamma(m + 1) for m = 0..n."""
-    return tuple(lgamma(m + 1) for m in range(n + 1))
+def _log_factorials(n: int) -> np.ndarray:
+    """log(m!) = lgamma(m + 1) for m = 0..n, read-only."""
+    table = np.array([lgamma(m + 1) for m in range(n + 1)])
+    table.flags.writeable = False
+    return table
 
 
-def partition_sector_amplitudes(n: int, k: int, p: float, n_a: int) -> np.ndarray:
-    """Beam-splitter amplitudes of a k-excitation Dicke state in Alice's N_A = n_a sector.
+def partition_sector_amplitudes(n: int, k, p: float, n_a: int) -> np.ndarray:
+    """Beam-splitter amplitudes of k-excitation Dicke states in Alice's N_A = n_a sector.
 
-    Entry k_A holds the real amplitude on |n_a, k_A> (x) |n - n_a, k - k_A>,
+    Entry [..., k_A] holds the real amplitude on |n_a, k_A> (x) |n - n_a, k - k_A>,
     sqrt(C(k, k_A) C(n-k, n_a-k_A)) p^{n_a/2} (1-p)^{(n-n_a)/2}, with the
-    binomials through log-gamma so n = 200 stays finite.  Entries outside the
-    admissible k_A window are 0, as is every sector with n_a > 0 at p = 0 or
-    n_a < n at p = 1.
+    binomials through log-gamma so n = 200 stays finite.  ``k`` may be an
+    integer array of excitation numbers in [0, n]; the result has shape
+    k.shape + (n_a + 1,).  Entries outside the admissible k_A window are 0,
+    as is every sector with n_a > 0 at p = 0 or n_a < n at p = 1.
     """
-    amps = np.zeros(n_a + 1)
-    lo, hi = dicke_bounds(k, n_a, n - n_a)
+    k = np.asarray(k)[..., None]
+    k_a = np.arange(n_a + 1)
+    k_b = k - k_a
+    inside = (k_b >= 0) & (k_b <= n - n_a)
     if (p == 0.0 and n_a > 0) or (p == 1.0 and n_a < n):
-        return amps
+        return np.zeros(inside.shape)
+    k_b = np.where(inside, k_b, 0)
     lf = _log_factorials(n)
     log_p = n_a * math.log(p) + (n - n_a) * math.log1p(-p) if 0.0 < p < 1.0 else 0.0
-    for k_a in range(lo, hi + 1):
-        log_w = (
-            lf[k] - lf[k_a] - lf[k - k_a]
-            + lf[n - k] - lf[n_a - k_a] - lf[n - k - n_a + k_a]
-        ) + log_p
-        amps[k_a] = math.exp(0.5 * log_w)
-    return amps
+    log_w = (lf[k] - lf[k_a] - lf[k_b] + lf[n - k] - lf[n_a - k_a] - lf[n - n_a - k_b]) + log_p
+    return np.where(inside, np.exp(0.5 * log_w), 0.0)
 
 
 def split_dicke_beamsplitter(k: int, n: int, p: float) -> BipartitePureState:

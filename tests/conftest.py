@@ -7,6 +7,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
+def outer(v):
+    """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj())
+
+
 def random_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2.0

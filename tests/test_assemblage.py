@@ -27,7 +27,7 @@ from steerkit.experiments import (
     qubit_basis_povm,
     split_dicke_assemblage,
 )
-from steerkit.linalg import Spectrum, ValidationError, outer, tensor
+from steerkit.linalg import Spectrum, ValidationError, tensor
 from steerkit.metrology import make_povm, povm_from_basis, qfi, variance
 from steerkit.pure import optimal_assemblage
 from steerkit.states import (
@@ -39,7 +39,7 @@ from steerkit.states import (
     spin_ops,
 )
 
-from conftest import I2, SX, SZ, random_density, random_floored_state, random_hermitian, random_pure
+from conftest import I2, SX, SZ, outer, random_density, random_floored_state, random_hermitian, random_pure
 
 
 def random_lhs_model(rng, d_b=None, n_lambda=None, n_settings=None, n_outcomes=None):

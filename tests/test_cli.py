@@ -11,6 +11,8 @@ from steerkit.linalg import ValidationError
 from steerkit.serialize import save_json, state_to_json
 from steerkit.states import ghz_state
 
+from golden.regen import CONFIGS, moved_cells
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -32,6 +34,7 @@ INVALID_COMMANDS = {
     "estimate_reps0": ["estimate", "--reps", "0"],
     "quantify_step0": ["quantify", "--step", "0"],
     "quantify_negative_step": ["quantify", "--step", "-0.1"],
+    "quantify_step_not_dividing_1": ["quantify", "--step", "0.6"],
     "witness_unknown_type": ["witness", "{tmp}/foo.json", "--observable", "{tmp}/obs.json"],
 }
 
@@ -201,24 +204,20 @@ class TestOutputs:
 class TestGoldenFiles:
     """Each shipped experiment config reproduces byte-identical output."""
 
-    CONFIGS = {
-        "ghz.csv": ["ghz", "--n", "1:4"],
-        "ghz_noise.csv": ["ghz-noise", "--n", "2:3", "--noise", "0.2:0.8:0.3"],
-        "split_dicke.csv": ["split-dicke", "--n", "8", "--k", "4"],
-        "split_dicke_partition.csv": ["split-dicke-partition", "--n", "10", "--k", "0:10:2", "--p", "0.5"],
-        "cat.csv": ["cat", "--alpha", "0:1:0.25"],
-        "multigen.csv": ["multigen", "--d", "2:4"],
-        "quantify.csv": ["quantify", "--step", "0.25"],
-        "estimate.csv": ["estimate", "--shots", "1000", "--reps", "25", "--seed", "123"],
-    }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_golden(self, name, tmp_path):
         out = tmp_path / name
-        assert run_cli(self.CONFIGS[name] + ["--out", str(out)]) == 0
+        assert run_cli(CONFIGS[name] + ["--out", str(out)]) == 0
         golden = GOLDEN / name
         assert golden.exists(), f"golden file {name} missing; regenerate with tests/golden/regen.py"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_diff_lists_moved_cells(self):
+        old = "k,a,b\n0,1,2\n2,3,4\n"
+        new = "k,a,b\n0,1,2.5\n2,3,4\n4,5,6\n"
+        assert moved_cells("t.csv", old, new) == ["t.csv row 1 (k=0) b: 2 -> 2.5", "t.csv row 3 added: 4,5,6"]
+        assert moved_cells("t.csv", new, new) == []
 
 
 class TestReferenceColumns:

@@ -19,7 +19,9 @@ from steerkit.experiments import (
     split_dicke_partition_rows,
     split_dicke_rows,
 )
-from steerkit.metrology import povm_from_basis
+from steerkit.linalg import ValidationError
+from steerkit.metrology import povm_from_basis, qfi, variance
+from steerkit.pure import s_avg_pure, s_max_pure
 from steerkit.states import (
     spin_ops,
     split_dicke_beamsplitter,
@@ -76,6 +78,37 @@ class TestPartitionBlocks:
     def test_twin_fock_saturates_reduced_bound(self):
         q = split_dicke_partition_quantities(10, 5, 0.5)
         assert abs(q.cond_qfi - 4.0 * q.var_reduced) < 1e-9
+
+    def test_rows_follow_requested_ks(self):
+        ks = [7, 2, 9, 2, 0, 7, 10]
+        header, rows = split_dicke_partition_rows(10, 0.35, ks)
+        assert [row[0] for row in rows] == ks
+        for k, row in zip(ks, rows):
+            q = split_dicke_partition_quantities(10, k, 0.35)
+            assert row == [k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, q.var_reduced_ref, q.qfi_reduced, 0.0]
+
+    @pytest.mark.parametrize("p", [0.3, 0.0, 1.0])
+    def test_whole_table_matches_generic(self, p):
+        n = 6
+        header, rows = split_dicke_partition_rows(n, p, range(n + 1))
+        for k, row in enumerate(rows):
+            q = dict(zip(header, row))
+            asm, jz = partition_generic_assemblage(n, k, p)
+            cq, _ = conditional_qfi(asm, jz)
+            cv, _ = conditional_variance(asm, jz)
+            rho_b = asm.reduced_state()
+            assert abs(q["cond_qfi"] - cq) < 1e-9 * max(cq, 1.0)
+            assert abs(q["cond_var"] - cv) < 1e-10
+            assert abs(q["var_reduced"] - variance(rho_b, jz)) < 1e-10
+            assert abs(q["qfi_reduced"] - qfi(rho_b, jz)) < 1e-9
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValidationError, match="k=11"):
+            split_dicke_partition_rows(10, 0.5, [3, 11])
+        with pytest.raises(ValidationError, match="k=-1"):
+            split_dicke_partition_rows(10, 0.5, [-1])
+        with pytest.raises(ValidationError, match="splitting ratio"):
+            split_dicke_partition_rows(10, 1.5, [3])
 
     def test_rows_never_negative(self):
         # k = 0 and k = n are product states, whose conditional QFI is 0 up to roundoff
@@ -136,6 +169,29 @@ class TestRowTables:
         small, large = rows
         assert small[8] > 1.0 / 0.5  # Reid informative at small alpha
         assert large[2] > large[8]  # QFI witness dominates at large alpha
+
+    def test_quantify_rows_match_pointwise_loop(self):
+        # every grid point against the per-point eigensolve and the (i, j)
+        # double loop the table evaluated before it became one stack
+        header, rows = quantify_rows(step=0.01)
+        assert len(rows) == 5151
+        for x, y, s_max, s_avg_scaled in rows:
+            p = np.array([x, y, max(1.0 - x - y, 0.0)])
+            p = p / p.sum()
+            assert s_max == s_max_pure(p) == max(float(np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[-1]), 0.0)
+            total = 0.0
+            for i in range(3):
+                for j in range(3):
+                    if i != j and p[i] + p[j] > 0.0:
+                        total += p[i] * p[j] * (1.0 + 2.0 / (p[i] + p[j]))
+            assert s_avg_scaled == s_avg_pure(p) / 8.0 == total / 8.0
+
+    def test_quantify_step_must_divide_one(self):
+        with pytest.raises(ValidationError, match="divide 1"):
+            quantify_rows(step=0.6)
+        for step in (0.01, 0.05, 0.25):
+            header, rows = quantify_rows(step=step)
+            assert all(x + y <= 1.0 + 1e-12 for x, y, _, _ in rows)
 
     def test_quantify_rows_peak_at_half_half(self):
         header, rows = quantify_rows(step=0.05)

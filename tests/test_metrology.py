@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, outer
+from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError
 from steerkit.assemblage import SettingRecord
 from steerkit.metrology import (
     as_state,
@@ -23,7 +23,7 @@ from steerkit.pure import _setting_matrices, gellmann_basis
 from steerkit.sampling import sample_outcomes
 from steerkit.states import coherent_amplitudes, fock_space, wigner_rotation_matrix
 
-from conftest import I2, SX, SY, SZ, random_density, random_floored_state, random_hermitian, random_pure, random_unitary
+from conftest import I2, SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian, random_pure, random_unitary
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 

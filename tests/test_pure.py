@@ -12,7 +12,7 @@ from steerkit.assemblage import (
     setting_average_qfi,
     setting_average_variance,
 )
-from steerkit.linalg import ValidationError, dagger, outer
+from steerkit.linalg import ValidationError, dagger
 from steerkit.metrology import povm_from_basis, qfi, variance
 from steerkit.pure import (
     ancilla_invariance_check,
@@ -301,6 +301,25 @@ class TestQuantifiers:
     def test_invalid_distribution(self):
         with pytest.raises(ValidationError):
             s_max_pure([0.5, 0.2])
+
+    def test_stack_matches_one_at_a_time(self, rng):
+        stack = rng.dirichlet(np.ones(5), size=(4, 3))
+        s_max, s_avg = s_max_pure(stack), s_avg_pure(stack)
+        assert s_max.shape == s_avg.shape == (4, 3)
+        assert isinstance(s_max_pure(stack[0, 0]), float) and isinstance(s_avg_pure(stack[0, 0]), float)
+        for idx in np.ndindex(4, 3):
+            assert s_max[idx] == s_max_pure(stack[idx])
+            assert s_avg[idx] == s_avg_pure(stack[idx])
+
+    def test_stack_with_one_bad_row_rejected(self):
+        stack = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.6], [0.5, 0.2, 0.2], [1.0, 0.0, 0.0]])
+        for fn in (s_max_pure, s_avg_pure):
+            with pytest.raises(ValidationError, match=r"stack index \(2,\): min 0.2, sum 0.8999"):
+                fn(stack)
+        stack[2, 2] = 0.3
+        stack[1] = [0.7, 0.4, -0.1]
+        with pytest.raises(ValidationError, match=r"stack index \(1,\)"):
+            s_max_pure(stack)
 
 
 def random_mixed_assemblage(rng, n_settings, d_a=3, d_b=3):

@@ -5,12 +5,12 @@ import pytest
 
 from steerkit.assemblage import assemblage_from_state
 from steerkit.experiments import bell_assemblage, qubit_basis_povm, split_dicke_assemblage
-from steerkit.linalg import NumericError, ValidationError, outer, tensor
+from steerkit.linalg import NumericError, ValidationError, tensor
 from steerkit.metrology import povm_from_basis, variance
 from steerkit.sampling import epr_product_check, moment_estimator_validation, sample_outcomes
 from steerkit.states import spin_ops, split_dicke_fixed, wigner_rotation_matrix
 
-from conftest import SX, SY, SZ, random_density, random_floored_state, random_hermitian
+from conftest import SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
