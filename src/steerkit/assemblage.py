@@ -55,9 +55,6 @@ class SettingRecord:
     def n_outcomes(self) -> int:
         return len(self.states)
 
-    def state_matrix(self, i: int) -> np.ndarray:
-        return self.states[i].reconstruct()
-
     def factor(self) -> tuple[np.ndarray, float]:
         """(F, mu) with F F^dag + mu I = sum_a p_a rho_a.
 
@@ -87,10 +84,6 @@ class Assemblage:
             if rec.label == label:
                 return rec
         raise ValidationError(f"no setting labelled {label!r}; have {self.labels}")
-
-    def reduced_state(self) -> np.ndarray:
-        f, mu = self.settings[0].factor()
-        return f @ dagger(f) + mu * np.eye(self.d_b)
 
     def reduced_spectrum(self) -> Spectrum:
         """Bob's reduced state above its floor, from the first setting's factor (``factor_spectrum``)."""
@@ -270,12 +263,20 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
     return make_assemblage(recs, d_b)
 
 
-def setting_average_variance(rec: SettingRecord, h: np.ndarray) -> float:
-    return float(sum(p * variance(st, h) for p, st in zip(rec.probabilities, rec.states)))
+def _average(rec: SettingRecord, functional, h: np.ndarray):
+    """sum_a p(a|X) functional(rho_a, H): a float for one operator, an n x n matrix for a stack (n, d, d)."""
+    total = sum(p * functional(st, h) for p, st in zip(rec.probabilities, rec.states))
+    return total if np.ndim(total) else float(total)
 
 
-def setting_average_qfi(rec: SettingRecord, h: np.ndarray) -> float:
-    return float(sum(p * qfi(st, h) for p, st in zip(rec.probabilities, rec.states)))
+def setting_average_variance(rec: SettingRecord, h: np.ndarray):
+    """sum_a p(a|X) Var[rho_a, H], or the averaged covariance matrix V_X of a stack of observables."""
+    return _average(rec, variance, h)
+
+
+def setting_average_qfi(rec: SettingRecord, h: np.ndarray):
+    """sum_a p(a|X) F_Q[rho_a, H], or the averaged QFI matrix Q_X of a stack of generators."""
+    return _average(rec, qfi, h)
 
 
 def _best_setting(assemblage: Assemblage, op: np.ndarray, average, pick) -> tuple[float, str]:
@@ -398,7 +399,7 @@ def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Ass
     for rec1, rec2 in zip(first.settings, second.settings):
         blocks: dict[str, np.ndarray] = {}
         for t, rec in ((weight, rec1), (1.0 - weight, rec2)):
-            for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities)):
-                blocks[lab] = blocks.get(lab, 0.0) + t * p * rec.state_matrix(i)
+            for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states):
+                blocks[lab] = blocks.get(lab, 0.0) + t * p * st.reconstruct()
         recs.append(_setting(rec1.label, blocks.keys(), _traced(blocks.values())))
     return make_assemblage(recs, first.d_b)

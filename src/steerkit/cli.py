@@ -41,14 +41,14 @@ from .states import BipartitePureState
 
 
 def format_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):  # most cells, so tested first
+        return f"{float(value):.15g}"
     if value is None or value == "":
         return ""
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.15g}"
     return str(value)
 
 

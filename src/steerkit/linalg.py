@@ -146,9 +146,9 @@ class Spectrum:
         return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.floor)
 
 
-def hermitian_eig(operator, tol: float = TOL.herm) -> Spectrum:
-    """Eigendecompose a Hermitian operator; eigenvalues come out ascending."""
-    op = require_hermitian(operator, tol=tol)
+def hermitian_eig(operator) -> Spectrum:
+    """Eigendecompose a Hermitian operator (checked to ``TOL.herm``); eigenvalues come out ascending."""
+    op = require_hermitian(operator)
     try:
         vals, vecs = np.linalg.eigh(op)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent

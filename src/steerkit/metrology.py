@@ -7,7 +7,9 @@ direction, so white noise p |psi><psi| + (1-p) I/d is r = 1 with
 mu = (1-p)/d.  ``as_state`` is the one coercion: an amplitude vector is the
 r = 1 case, a density matrix gets one eigendecomposition, and a Spectrum is
 checked.  With H V in hand, expectation values, variances and the QFI cost
-O(d^2 r); the floor adds its share through tr H and ||H||_F^2.  A POVM is
+O(d^2 r); the floor adds its share through tr H and ||H||_F^2.  ``variance``
+and ``qfi`` also take a stack (n, d, d) of operators and return the n x n
+covariance or QFI matrix, from the same formulas.  A POVM is
 stored as one factor K_a per outcome, E_a = K_a K_a^dag, so outcome
 probabilities come from K_a^dag V and no effect is formed as a d x d matrix.
 """
@@ -134,69 +136,89 @@ def _scaled(st: Spectrum, p: float, name: str) -> Spectrum:
 def _rotate(state, operator, name: str) -> tuple[Spectrum, np.ndarray, np.ndarray]:
     """The state's spectral form, H and H V, after checking dimensions.
 
-    A ``Spectrum`` is taken as built: ``as_state`` checks it once, where it enters an assemblage.
+    The operator may be one d x d matrix or a stack (n, d, d), whose H V is
+    (n, d, r); functionals of one operator coerce it with
+    ``as_complex_matrix`` first.  A ``Spectrum`` is taken as built:
+    ``as_state`` checks it once, where it enters an assemblage.
     """
     st = state if isinstance(state, Spectrum) else as_state(state)
-    op = as_complex_matrix(operator, name)
-    if op.shape != (st.dim, st.dim):
+    op = np.ascontiguousarray(operator, dtype=complex)  # ``_gram`` views a stack as floats
+    if op.ndim not in (2, 3) or op.shape[-2:] != (st.dim, st.dim):
         raise ValidationError(f"{name} has shape {op.shape}, state dimension is {st.dim}")
     return st, op, op @ st.eigenvectors
 
 
+def _gram(x: np.ndarray, w: np.ndarray):
+    """sum_ki w_ki Re(x_a,ki conj(x_b,ki)) with weights w per column (r,) or per entry (k, r).
+
+    One (k, r) array x gives a number, sum w |x|^2, from the column norms
+    when w is per column; a stack (n, k, r) gives the n x n matrix, as the
+    real product of the float views.  Neither forms a conjugate copy.
+    """
+    if x.ndim == 2:
+        return np.vdot(w, np.vecdot(x, x, axis=0).real if w.ndim == 1 else np.abs(x) ** 2)
+    return (x * w).reshape(len(x), -1).view(float) @ x.reshape(len(x), -1).view(float).T
+
+
 def expectation(state, operator) -> float:
     """<O> = sum_i (lam_i - floor) <v_i|O|v_i> + floor tr O; real part returned."""
-    st, op, ov = _rotate(state, operator, "operator")
+    st, op, ov = _rotate(state, as_complex_matrix(operator, "operator"), "operator")
     val = float((st.eigenvalues - st.floor) @ np.vecdot(st.eigenvectors, ov, axis=0).real)
     return val + st.floor * float(np.trace(op).real) if st.floor else val
 
 
-def variance(state, observable) -> float:
-    """Var = <H^2> - <H>^2, clamped at zero against roundoff.
+def variance(state, observables):
+    """Var = <H^2> - <H>^2 of one observable, or the covariance matrix of a stack (n, d, d).
 
-    With w_i = lam_i - floor: <H^2> = sum_i w_i ||H v_i||^2 + floor ||H||_F^2
-    and <H> = sum_i w_i H_ii + floor tr H.
+    With w_i = lam_i - floor: <H_a H_b> = sum_i w_i Re<H_a v_i|H_b v_i>
+    + floor Re tr(H_a H_b) and <H_a> = sum_i w_i (H_a)_ii + floor tr H_a.
+    One observable gives a float clamped at zero against roundoff; a stack
+    gives the n x n matrix Cov_ab = <H_a H_b> - <H_a><H_b>.  A variance
+    (diagonal entry) below -1e-12 raises.
     """
-    st, op, hv = _rotate(state, observable, "observable")
+    st, op, hv = _rotate(state, observables, "observable")
     w = st.eigenvalues - st.floor
-    second = float(w @ np.vecdot(hv, hv, axis=0).real)
-    first = float(w @ np.vecdot(st.eigenvectors, hv, axis=0).real)
+    second = _gram(hv, w)
+    mean = np.vecdot(st.eigenvectors, hv, axis=-2).real @ w
     if st.floor:
-        second += st.floor * float(np.vdot(op, op).real)
-        first += st.floor * float(np.trace(op).real)
-    val = second - first * first
-    if val < -1e-12:
-        raise NumericError(f"variance came out {val:.3e}; inputs are inconsistent")
-    return max(val, 0.0)
+        second = second + st.floor * _gram(op, np.ones(st.dim))
+        mean = mean + st.floor * np.trace(op, axis1=-2, axis2=-1).real
+    val = second - np.multiply.outer(mean, mean)
+    low = float(np.min(np.diagonal(val))) if val.ndim else float(val)
+    if low < -1e-12:
+        raise NumericError(f"variance came out {low:.3e}; inputs are inconsistent")
+    return val if val.ndim else max(low, 0.0)
 
 
-def _kernel_weights(st: Spectrum) -> np.ndarray:
-    """QFI weight (l_i - mu)^2 / (l_i + mu) of each column paired with the floor's eigenspace."""
-    lam, mu = st.eigenvalues, st.floor
-    return (lam - mu) ** 2 / (lam + mu) if mu else lam
-
-
-def qfi(state, generator, eps: float = TOL.qfi_eigen) -> float:
-    """Quantum Fisher information for unitary encoding exp(-i theta H).
+def qfi(state, generators):
+    """Quantum Fisher information for unitary encoding exp(-i theta H), or the QFI matrix of a stack (n, d, d).
 
     Rank-r spectral sum over the columns, with the complement of eigenvalue
     mu = floor (Liu, Jing, Zhong and Wang, Commun. Theor. Phys. 61, 45 (2014)):
 
         2 sum_{i,j <= r} (l_i-l_j)^2/(l_i+l_j) |H_ij|^2
-        + 4 sum_i (l_i-mu)^2/(l_i+mu) (||H v_i||^2 - sum_{j <= r} |H_ij|^2),
+        + 4 sum_i (l_i-mu)^2/(l_i+mu) ||(1 - V V^dag) H v_i||^2,
 
-    where the second line adds the column-to-complement pairs exactly; pairs
-    inside the complement have equal eigenvalues and carry no weight.  Column
-    pairs with l_i + l_j <= eps are skipped, which removes the 0/0 terms
-    deterministically.  A pure state gives F_Q = 4 Var.
+    where the second line adds the column-to-complement pairs exactly (it is
+    ||H v_i||^2 - sum_{j <= r} |H_ij|^2, taken without that cancellation, and
+    absent for a full-rank state); pairs inside the complement have equal
+    eigenvalues and carry no weight.  Column
+    pairs with l_i + l_j <= ``TOL.qfi_eigen`` are skipped, which removes the
+    0/0 terms deterministically.  A pure state gives F_Q = 4 Var.  A stack
+    gives the polarised form F_ab, with Re(H_a,ij conj(H_b,ij)) and
+    Re<H_a v_i|H_b v_i> in place of the squares, so that
+    F(sum_a c_a H_a) = c^T F c (Liu et al., J. Phys. A 53, 023001 (2020));
+    one generator gives a float clamped at zero.
     """
-    st, _, hv = _rotate(state, generator, "generator")
-    lam = st.eigenvalues
-    h2 = np.abs(dagger(st.eigenvectors) @ hv) ** 2
+    st, _, hv = _rotate(state, generators, "generator")
+    lam, mu, v = st.eigenvalues, st.floor, st.eigenvectors
+    rot = dagger(v) @ hv  # H_ij on the columns
     pair_sum = lam[:, None] + lam[None, :]
-    weights = np.divide((lam[:, None] - lam[None, :]) ** 2, pair_sum, out=np.zeros_like(pair_sum), where=pair_sum > eps)
-    kernel = np.vecdot(hv, hv, axis=0).real - h2.sum(axis=1)
-    val = 2.0 * float(np.sum(weights * h2)) + 4.0 * float(_kernel_weights(st) @ kernel)
-    return max(val, 0.0)
+    weights = np.divide((lam[:, None] - lam[None, :]) ** 2, pair_sum, out=np.zeros_like(pair_sum), where=pair_sum > TOL.qfi_eigen)
+    val = 2.0 * _gram(rot, weights)
+    if lam.size < st.dim:  # columns paired with the complement, through its part (1 - V V^dag) H v_i
+        val = val + 4.0 * _gram(hv - v @ rot, (lam - mu) ** 2 / (lam + mu) if mu else lam)
+    return val if val.ndim else max(float(val), 0.0)
 
 
 def qfi_white_noise(psi, generator, p: float) -> float:
@@ -229,7 +251,7 @@ def cfi(povm: POVM, state, generator) -> float:
     outcome with p < prob_floor but |dp| >= prob_floor makes the Fisher
     information singular and raises.
     """
-    st, _, hv = _rotate(state, generator, "generator")
+    st, _, hv = _rotate(state, as_complex_matrix(generator, "generator"), "generator")
     w = st.eigenvalues - st.floor
     total = 0.0
     for lab, rows, kv, p in _outcomes(povm, st):
@@ -256,7 +278,7 @@ def qfi_commutator_bound(state, generator, observable) -> float:
     return expectation(st, -1j * (h @ m - m @ h)) ** 2 / var_m
 
 
-def var_qfi_gap(state, generator, eps: float = TOL.qfi_eigen):
+def var_qfi_gap(state, generator):
     """Var - F_Q/4 via its explicit nonnegative decomposition.
 
     Returns ``(gap, saturated)``.  Over the full eigenbasis (eigenvalues p_a)
@@ -265,13 +287,13 @@ def var_qfi_gap(state, generator, eps: float = TOL.qfi_eigen):
     columns it is computed term by term; the complement P of eigenvalue
     mu = floor adds 4 mu sum_i l_i/(l_i+mu) ||P H v_i||^2 + mu ||P (H - <H>) P||_F^2.
     The gap vanishes exactly when Pi H Pi is proportional to Pi on the
-    support Pi of rho, which is the whole space when mu > eps.
+    support Pi of rho, which is the whole space when mu > ``TOL.qfi_eigen``.
     """
-    st, op, hv = _rotate(state, generator, "generator")
+    st, op, hv = _rotate(state, as_complex_matrix(generator, "generator"), "generator")
     lam, mu = st.eigenvalues, st.floor
     h_eig = dagger(st.eigenvectors) @ hv
     pair_sum = lam[:, None] + lam[None, :]
-    mask = pair_sum > eps
+    mask = pair_sum > TOL.qfi_eigen
     np.fill_diagonal(mask, False)
     prod = lam[:, None] * lam[None, :]
     weights = np.zeros_like(pair_sum)
@@ -289,8 +311,8 @@ def var_qfi_gap(state, generator, eps: float = TOL.qfi_eigen):
         centred = inside - 2.0 * mean_diag * rest + mean_diag**2 * (st.dim - lam.size)
         gap += 4.0 * mu * float((lam / (lam + mu)) @ leak) + mu * centred
 
-    support = lam > eps
-    h_sub = op if mu > eps else h_eig[np.ix_(support, support)]  # H on the support of rho
+    support = lam > TOL.qfi_eigen
+    h_sub = op if mu > TOL.qfi_eigen else h_eig[np.ix_(support, support)]  # H on the support of rho
     r = h_sub.shape[0]
     if not r:
         return gap, False

@@ -16,13 +16,14 @@ import numpy as np
 
 from .assemblage import (
     Assemblage,
-    SettingRecord,
     assemblage_from_pure_state,
     conditional_qfi,
     conditional_variance,
+    setting_average_qfi,
+    setting_average_variance,
 )
-from .linalg import TOL, NumericError, ValidationError, dagger, require_hermitian
-from .metrology import POVM, _kernel_weights, povm_from_basis
+from .linalg import NumericError, ValidationError, dagger, require_hermitian
+from .metrology import POVM, povm_from_basis
 from .states import BipartitePureState
 
 _SUPPORT_CUT = 1e-12
@@ -140,12 +141,6 @@ class GeneratorBasis:
     dim: int
     generators: tuple[np.ndarray, ...]
 
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, g in zip(coeffs, self.generators):
-            out += c * g
-        return out
-
 
 def gellmann_basis(d: int) -> GeneratorBasis:
     """Generalized Gell-Mann construction normalized to tr[H_i H_j] = delta_ij."""
@@ -222,46 +217,6 @@ def assemblage_delta(assemblage: Assemblage, h) -> float:
     return cq / 4.0 - cv
 
 
-def _setting_matrices(rec: SettingRecord, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged QFI matrix Q_X and covariance matrix V_X of one setting.
-
-    For H = sum_a c_a G_a the setting's averaged QFI is c^T Q_X c and its
-    averaged variance c^T V_X c.  Both are read off the stored spectra with
-    the rank-r forms of ``qfi`` and ``variance``: the spectral weights
-    2 (l_i - l_j)^2 / (l_i + l_j) on the columns, cut at ``TOL.qfi_eigen``,
-    plus the column-to-complement term
-    4 sum_i k_i (<G_a v_i|G_b v_i> - sum_j G_a,ij conj(G_b,ij)) with
-    k_i = (l_i - mu)^2 / (l_i + mu).  Second moments and means weigh the
-    columns by l_i - mu and add mu tr(G_a G_b) and mu tr G_a for a floor mu.
-    """
-    n = len(gens)
-    q, cov = np.zeros((n, n)), np.zeros((n, n))
-    for p, st in zip(rec.probabilities, rec.states):
-        lam, v, mu = st.eigenvalues, st.eigenvectors, st.floor
-        gv = gens @ v  # (generator, d, r): G_a v_i in column i
-        rot = dagger(v) @ gv  # G_a,ij on the columns
-
-        def gram(weights):  # sum_i w_i Re<G_a v_i|G_b v_i>
-            return ((gv * weights).reshape(n, -1) @ dagger(gv.reshape(n, -1))).real
-
-        pair = lam[:, None] + lam[None, :]
-        w = np.divide(2.0 * (lam[:, None] - lam[None, :]) ** 2, pair, out=np.zeros_like(pair), where=pair > TOL.qfi_eigen)
-        kappa = _kernel_weights(st)
-        flat = rot.reshape(n, -1)
-        support = ((flat * (w - 4.0 * kappa[:, None]).reshape(-1)) @ dagger(flat)).real
-        second = gram(lam - mu)
-        mean = rot.diagonal(axis1=1, axis2=2).real @ (lam - mu)
-        kernel = second
-        if mu:
-            flat_gens = gens.reshape(n, -1)
-            kernel = gram(kappa)
-            second = second + mu * (flat_gens @ dagger(flat_gens)).real  # tr(G_a G_b)
-            mean = mean + mu * np.trace(gens, axis1=1, axis2=2).real
-        q += p * (support + 4.0 * kernel)
-        cov += p * (second - np.outer(mean, mean))
-    return q, cov
-
-
 def s_max_lower_bound(assemblage: Assemblage) -> float:
     """Maximal witness violation over unit traceless generators, exact for the supplied settings.
 
@@ -270,22 +225,28 @@ def s_max_lower_bound(assemblage: Assemblage) -> float:
 
         max_{|c| = 1} Delta(sum_a c_a G_a) = max_{X,Y} lambda_max(Q_X/4 - V_Y),
 
-    returned clamped at zero.  It is a lower bound on the violation maximised
-    over all of Alice's measurements; on a pure state whose settings include
-    the optimal ones it reaches s_max = lambda_max[diag(p) - p p^T].
+    returned clamped at zero.  Q_X and V_X are ``setting_average_qfi`` and
+    ``setting_average_variance`` of the Gell-Mann stack.  It is a lower bound
+    on the violation maximised over all of Alice's measurements; on a pure
+    state whose settings include the optimal ones it reaches
+    s_max = lambda_max[diag(p) - p p^T].
     """
     gens = np.stack(gellmann_basis(assemblage.d_b).generators)
-    mats = [_setting_matrices(rec, gens) for rec in assemblage.settings]
-    best = max(float(np.linalg.eigvalsh(q / 4.0 - v)[-1]) for q, _ in mats for _, v in mats)
+    qs = [setting_average_qfi(rec, gens) for rec in assemblage.settings]
+    covs = [setting_average_variance(rec, gens) for rec in assemblage.settings]
+    best = max(float(np.linalg.eigvalsh(q / 4.0 - v)[-1]) for q in qs for v in covs)
     return max(best, 0.0)
 
 
 def multi_generator_sum(assemblage: Assemblage, basis: GeneratorBasis) -> tuple[float, float]:
-    """Summed conditional QFI sum_i max_X (Q_X)_ii over a generator basis, and its LHS bound 4(d-1)."""
+    """Summed conditional QFI sum_i max_X (Q_X)_ii over a generator basis, and its LHS bound 4(d-1).
+
+    (Q_X)_ii is the diagonal of ``setting_average_qfi`` on the basis stack.
+    """
     if basis.dim != assemblage.d_b:
         raise ValidationError(f"basis dimension {basis.dim} != Bob dimension {assemblage.d_b}")
     gens = np.stack(basis.generators)
-    best = np.max([np.diagonal(_setting_matrices(rec, gens)[0]) for rec in assemblage.settings], axis=0)
+    best = np.max([np.diagonal(setting_average_qfi(rec, gens)) for rec in assemblage.settings], axis=0)
     return float(sum(best)), 4.0 * (basis.dim - 1)
 
 

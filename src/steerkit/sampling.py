@@ -107,8 +107,8 @@ def moment_estimator_validation(
         m_list = [m_single] * rec.n_outcomes
 
     deriv = 0.0
-    for i, (p_a, m_a) in enumerate(zip(rec.probabilities, m_list)):
-        deriv += p_a * _mean_derivative(rec.state_matrix(i), h, m_a)
+    for p_a, st, m_a in zip(rec.probabilities, rec.states, m_list):
+        deriv += p_a * _mean_derivative(st.reconstruct(), h, m_a)
     if abs(deriv) < 1e-8:
         raise NumericError(f"response |d<M>/dtheta| = {abs(deriv):.3e} is flat; cannot calibrate")
     spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))

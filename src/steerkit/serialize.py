@@ -129,8 +129,8 @@ def assemblage_to_json(assemblage: Assemblage) -> dict:
             {
                 "label": rec.label,
                 "outcomes": [
-                    {"label": lab, "p": float(p), "rho": matrix_to_json(rec.state_matrix(i))}
-                    for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities))
+                    {"label": lab, "p": float(p), "rho": matrix_to_json(st.reconstruct())}
+                    for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states)
                 ],
             }
             for rec in assemblage.settings

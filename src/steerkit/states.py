@@ -20,7 +20,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import TOL, Spectrum, ValidationError, as_complex_vector, dagger, require_state_vector, unitary_from_generator
+from .linalg import TOL, Spectrum, ValidationError, as_complex_vector, require_state_vector, unitary_from_generator
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ class BipartitePureState:
         m = self.matrix
         return m.T @ m.conj()
 
-    def reduced_a(self) -> np.ndarray:
-        m = self.matrix
-        return m @ dagger(m)
-
 
 # ---------------------------------------------------------------------------
 # Rotation overlaps <k| exp(-i phi Jy) |k'>
@@ -132,6 +128,8 @@ def wigner_rotation_matrix(n_particles: int, phi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # GHZ states
 # ---------------------------------------------------------------------------
+
+_MAX_QUBITS = 12  # largest noisy GHZ state: its dense form is 2^12 x 2^12
 
 def ghz_vector(n_qubits: int, phi: float) -> np.ndarray:
     """(|0...0> + e^{i phi} |1...1>)/sqrt(2) on the full 2^n space."""
@@ -166,19 +164,19 @@ def white_noise_mixture(psi, p: float) -> Spectrum:
     return Spectrum(np.array([p + floor]), vec[:, None], floor)
 
 
-def ghz_white_noise_state(n_total: int, phi: float, p: float, max_qubits: int = 12) -> Spectrum:
-    """p |GHZ><GHZ| + (1-p) I/2^n in spectral form (``white_noise_mixture``)."""
+def ghz_white_noise_state(n_total: int, phi: float, p: float) -> Spectrum:
+    """p |GHZ><GHZ| + (1-p) I/2^n in spectral form (``white_noise_mixture``), for at most ``_MAX_QUBITS`` qubits."""
     n = int(n_total)
     if n < 2:
         raise ValidationError(f"GHZ needs n_total >= 2, got {n_total}")
-    if n > max_qubits:
-        raise ValidationError(f"dense GHZ mixture capped at {max_qubits} qubits, got {n}")
+    if n > _MAX_QUBITS:
+        raise ValidationError(f"dense GHZ mixture capped at {_MAX_QUBITS} qubits, got {n}")
     return white_noise_mixture(ghz_vector(n, phi), p)
 
 
-def ghz_white_noise(n_total: int, phi: float, p: float, max_qubits: int = 12) -> np.ndarray:
+def ghz_white_noise(n_total: int, phi: float, p: float) -> np.ndarray:
     """p |GHZ><GHZ| + (1-p) I/2^n as a dense density matrix."""
-    return ghz_white_noise_state(n_total, phi, p, max_qubits).reconstruct()
+    return ghz_white_noise_state(n_total, phi, p).reconstruct()
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_criterion_08_quantifiers():
 
             def neg_delta(v):
                 v = v / np.linalg.norm(v)
-                return -delta_for_generator(p, basis.combine(v))
+                return -delta_for_generator(p, np.tensordot(v, basis.generators, 1))
 
             res = scipy.optimize.minimize(neg_delta, vec, method="BFGS", options={"gtol": 1e-12})
             refined = -res.fun

@@ -71,8 +71,8 @@ class TestConstruction:
         asm = assemblage_from_state(np.outer(bell, bell.conj()), (2, 2), [("sz", qubit_basis_povm("z"))])
         rec = asm.settings[0]
         assert np.allclose(rec.probabilities, [0.5, 0.5])
-        assert np.allclose(rec.state_matrix(0), np.diag([1.0, 0.0]))
-        assert np.allclose(rec.state_matrix(1), np.diag([0.0, 1.0]))
+        assert np.allclose(rec.states[0].reconstruct(), np.diag([1.0, 0.0]))
+        assert np.allclose(rec.states[1].reconstruct(), np.diag([0.0, 1.0]))
 
     def test_ghz_sigma_x_steers_into_ghz(self):
         n_bob = 3
@@ -414,7 +414,7 @@ class TestOutcomeIdentity:
         assert conditional_variance(mixed, SZ / 2)[0] == 0.0  # z+ -> |0>, z- -> |1>: no spread left
         rec = mixed.setting("z")
         assert sorted(rec.outcomes) == ["z+", "z-"]
-        by_label = {lab: (p, rec.state_matrix(i)) for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities))}
+        by_label = {lab: (p, rec.states[i].reconstruct()) for i, (lab, p) in enumerate(zip(rec.outcomes, rec.probabilities))}
         assert abs(by_label["z+"][0] - 0.5) < 1e-15 and abs(by_label["z-"][0] - 0.5) < 1e-15
         assert np.allclose(by_label["z+"][1], np.diag([1.0, 0.0]), atol=1e-15)
         assert np.allclose(by_label["z-"][1], np.diag([0.0, 1.0]), atol=1e-15)
@@ -427,8 +427,8 @@ class TestOutcomeIdentity:
         rec = mixed.setting("z")
         assert rec.outcomes == ("z+", "z-")
         assert np.allclose(rec.probabilities, [0.75, 0.25], atol=1e-15)
-        assert np.allclose(rec.state_matrix(0), np.diag([1.0, 0.0]), atol=1e-15)
-        assert np.allclose(rec.state_matrix(1), np.diag([0.0, 1.0]), atol=1e-15)
+        assert np.allclose(rec.states[0].reconstruct(), np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(rec.states[1].reconstruct(), np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_lhs_dropped_outcome_keeps_positions(self, rng):
         model = LHSModel(
@@ -468,7 +468,8 @@ class TestSpectra:
             rho = 0.7 * outer(random_pure(rng, 6)) + 0.3 * random_density(rng, 6)
             asm = assemblage_from_state(rho, (2, 3), [("z", qubit_basis_povm("z"))])
         spec = asm.reduced_spectrum()
-        dense = asm.reduced_state()
+        f, mu = asm.settings[0].factor()
+        dense = f @ f.conj().T + mu * np.eye(asm.d_b)
         padded = np.concatenate([spec.eigenvalues, np.zeros(asm.d_b - spec.eigenvalues.size)])
         assert np.allclose(np.sort(padded), np.linalg.eigvalsh(dense), atol=1e-14)
         assert np.max(np.abs(spec.reconstruct() - dense)) < 1e-14
@@ -542,8 +543,8 @@ class TestFloorConditioning:
                 assert rec.outcomes == rec_ref.outcomes
                 assert np.max(np.abs(rec.probabilities - rec_ref.probabilities)) < 1e-12
                 for i in range(rec.n_outcomes):
-                    assert np.max(np.abs(rec.state_matrix(i) - rec_ref.state_matrix(i))) < 1e-12
-            assert np.max(np.abs(got.reduced_state() - ref.reduced_state())) < 1e-12
+                    assert np.max(np.abs(rec.states[i].reconstruct() - rec_ref.states[i].reconstruct())) < 1e-12
+            assert np.max(np.abs(got.reduced_spectrum().reconstruct() - ref.reduced_spectrum().reconstruct())) < 1e-12
 
     def test_noisy_ghz_witness_never_diagonalises_large_matrices(self, monkeypatch):
         def small_only(fn):

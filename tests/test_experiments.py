@@ -65,7 +65,7 @@ class TestPartitionBlocks:
         assert abs(q.cond_var - cv) < 1e-10
         from steerkit.metrology import qfi, variance
 
-        rho_b = asm.reduced_state()
+        rho_b = asm.reduced_spectrum().reconstruct()
         assert abs(q.var_reduced - variance(rho_b, jz)) < 1e-10
         assert abs(q.qfi_reduced - qfi(rho_b, jz)) < 1e-9
 
@@ -96,7 +96,7 @@ class TestPartitionBlocks:
             asm, jz = partition_generic_assemblage(n, k, p)
             cq, _ = conditional_qfi(asm, jz)
             cv, _ = conditional_variance(asm, jz)
-            rho_b = asm.reduced_state()
+            rho_b = asm.reduced_spectrum().reconstruct()
             assert abs(q["cond_qfi"] - cq) < 1e-9 * max(cq, 1.0)
             assert abs(q["cond_var"] - cv) < 1e-10
             assert abs(q["var_reduced"] - variance(rho_b, jz)) < 1e-10

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError
-from steerkit.assemblage import SettingRecord
+from steerkit.assemblage import SettingRecord, setting_average_qfi, setting_average_variance
 from steerkit.metrology import (
     as_state,
     cfi,
@@ -19,7 +19,7 @@ from steerkit.metrology import (
     variance,
 )
 from steerkit.experiments import spin_x_setting
-from steerkit.pure import _setting_matrices, gellmann_basis
+from steerkit.pure import gellmann_basis
 from steerkit.sampling import sample_outcomes
 from steerkit.states import coherent_amplitudes, fock_space, wigner_rotation_matrix
 
@@ -408,8 +408,31 @@ class TestFloor:
             probs = rng.dirichlet(np.ones(len(states)))
             floored = SettingRecord("x", probs, tuple(states))
             dense = SettingRecord("x", probs, tuple(as_state(st.reconstruct()) for st in states))
-            for got, ref in zip(_setting_matrices(floored, gens), _setting_matrices(dense, gens)):
+            for average in (setting_average_qfi, setting_average_variance):
+                got, ref = average(floored, gens), average(dense, gens)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+    def test_stacks_match_per_operator_values(self, rng):
+        """Pure, mixed, floored and full-rank states: the diagonal of a stack is the
+        per-operator value, and each off-diagonal entry is its polarisation."""
+        cases = list(floored_cases(rng)) + [as_state(random_density(rng, d)) for d in range(2, 7)]
+        for st in cases:
+            hs = np.stack([random_hermitian(rng, st.dim) for _ in range(3)])
+            for functional in (qfi, variance):
+                mat = functional(st, hs)
+                assert mat.shape == (3, 3)
+                for a in range(3):
+                    assert close(mat[a, a], functional(st, hs[a]))
+                    for b in range(3):
+                        polar = (functional(st, hs[a] + hs[b]) - functional(st, hs[a] - hs[b])) / 4.0
+                        assert close(mat[a, b], polar)
+
+    def test_stack_of_the_wrong_shape_is_rejected(self, rng):
+        st = random_floored_state(rng, 3, 1, 1e-3)
+        for bad in (np.zeros((2, 3, 4)), np.zeros((2, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros(3)):
+            for functional in (qfi, variance):
+                with pytest.raises(ValidationError, match="shape"):
+                    functional(st, bad)
 
     def test_white_noise_floor_is_exact(self, rng):
         v = random_pure(rng, 5)

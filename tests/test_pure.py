@@ -273,7 +273,7 @@ class TestQuantifiers:
 
             def neg_delta(v):
                 v = v / np.linalg.norm(v)
-                return -delta_for_generator(p, basis.combine(v))
+                return -delta_for_generator(p, np.tensordot(v, basis.generators, 1))
 
             res = scipy.optimize.minimize(neg_delta, vec, method="BFGS",
                                           options={"gtol": 1e-12, "maxiter": 5000})
@@ -362,13 +362,13 @@ class TestSMaxLowerBound:
         basis = gellmann_basis(3)
         for _ in range(2000):
             c = rng.standard_normal(len(basis.generators))
-            assert assemblage_delta(asm, basis.combine(c / np.linalg.norm(c))) <= val + 1e-12
+            assert assemblage_delta(asm, np.tensordot(c / np.linalg.norm(c), basis.generators, 1)) <= val + 1e-12
         mats = [polarized_matrices(rec, basis.generators) for rec in asm.settings]
         spectra = [np.linalg.eigh(q / 4.0 - v) for q, _ in mats for _, v in mats]
         top, vecs = max(spectra, key=lambda spec: spec[0][-1])
         assert val > 0.0
         assert abs(top[-1] - val) <= 1e-10
-        assert abs(assemblage_delta(asm, basis.combine(vecs[:, -1])) - val) <= 1e-10
+        assert abs(assemblage_delta(asm, np.tensordot(vecs[:, -1], basis.generators, 1)) - val) <= 1e-10
 
     def test_lhs_assemblage_stays_at_zero(self, rng):
         from test_assemblage import random_lhs_model

@@ -5,7 +5,7 @@ import pytest
 
 from steerkit.assemblage import assemblage_from_state
 from steerkit.experiments import bell_assemblage, qubit_basis_povm, split_dicke_assemblage
-from steerkit.linalg import NumericError, ValidationError, tensor
+from steerkit.linalg import NumericError, ValidationError, partial_trace, tensor
 from steerkit.metrology import povm_from_basis, variance
 from steerkit.sampling import epr_product_check, moment_estimator_validation, sample_outcomes
 from steerkit.states import spin_ops, split_dicke_fixed, wigner_rotation_matrix
@@ -30,7 +30,7 @@ class TestSampleOutcomes:
     def test_split_twin_fock_x_readout(self):
         n_tot = 4
         state = split_dicke_fixed(n_tot // 2, n_tot // 2, n_tot // 2)
-        rho_a = state.reduced_a()
+        rho_a = partial_trace(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims, "A")
         basis = np.asarray(wigner_rotation_matrix(n_tot // 2, math.pi / 2)).astype(complex)
         n = 100_000
         counts = sample_outcomes(rho_a, povm_from_basis(basis), n, 23)
@@ -73,7 +73,7 @@ class TestMomentEstimator:
         # Var[M_est]/(n |d<M>/dtheta|^2) == Var[M_est]/(n |<[H,M]>|^2)
         asm = plus_state_assemblage()
         run = moment_estimator_validation(asm, SZ / 2, SY, theta_true=0.01, n=1000, reps=10, seed=2)
-        rho_b = asm.reduced_state()
+        rho_b = asm.reduced_spectrum().reconstruct()
         comm = SZ / 2 @ SY - SY @ SZ / 2
         comm_mean = abs(np.trace(rho_b @ comm))
         alt = run.var_m_est / (1000 * comm_mean**2)
