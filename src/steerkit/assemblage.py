@@ -9,7 +9,10 @@ G G^dag plus the floor mu tr(E_a), with G = K_a^dag V sqrt(lam - mu) for the
 POVM factor K_a of E_a = K_a K_a^dag, and its spectrum comes from G, a
 d_B x (k_a r) matrix, so neither the pure nor the white-noise GHZ state builds
 a d_B x d_B matrix.  Bob's reduced state comes the same way from the factor F
-whose columns are sqrt(p_a (lam_i - mu_a)) v_i, plus the summed floors.
+whose columns are sqrt(p_a (lam_i - mu_a)) v_i, plus the summed floors, and
+no-signalling compares two such marginals through the R factor of a QR of
+their stacked factors.  A diagonal generator (collective J_z) is passed as its
+real diagonal, so the GHZ witness path holds nothing of size d_B x d_B.
 
 The max/min over settings ranges over the finitely many settings supplied by
 the caller; analytically optimal settings for the worked examples are known
@@ -27,9 +30,11 @@ from .linalg import (
     NumericError,
     Spectrum,
     ValidationError,
+    commutator,
     dagger,
     factor_spectrum,
     max_abs_by_rows,
+    qr_r_by_rows,
     require_density_matrix,
     require_hermitian,
 )
@@ -55,15 +60,15 @@ class SettingRecord:
     def n_outcomes(self) -> int:
         return len(self.states)
 
-    def factor(self) -> tuple[np.ndarray, float]:
-        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a.
+    def factor(self, rows: slice = slice(None)) -> tuple[np.ndarray, float]:
+        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a, or (F[rows], mu).
 
         F stacks the columns sqrt(p_a (lam_i - mu_a)) v_i of every outcome and
         mu = sum_a p_a mu_a.  A probability that ``make_assemblage`` let
         through just below 0 counts as 0.
         """
         probs = np.maximum(self.probabilities, 0.0)
-        v = np.concatenate([st.eigenvectors for st in self.states], axis=1)
+        v = np.concatenate([st.eigenvectors[rows] for st in self.states], axis=1)
         w = np.concatenate([p * (st.eigenvalues - st.floor) for p, st in zip(probs, self.states)])
         return v * np.sqrt(w), float(probs @ [st.floor for st in self.states])
 
@@ -90,16 +95,40 @@ class Assemblage:
         return factor_spectrum(*self.settings[0].factor())
 
 
-def _marginal_deviation(f0: np.ndarray, mu0: float, f1: np.ndarray, mu1: float) -> float:
-    """max-abs entry of (F_1 F_1^dag + mu_1 I) - (F_0 F_0^dag + mu_0 I), without forming either d_B x d_B marginal."""
+def _marginal_deviation(rec0: SettingRecord, rec1: SettingRecord, d_b: int) -> float:
+    """Deviation of D = (F_1 F_1^dag + mu_1 I) - (F_0 F_0^dag + mu_0 I) from 0, without forming D.
+
+    F_X, mu_X are the records' ``factor``.  With k = k_0 + k_1 columns below
+    d_B, the QR [F_0, F_1] = Q [R_0, R_1] gives
+    ||D||_F^2 = ||R_1 R_1^dag - R_0 R_0^dag + delta I_k||_F^2 + delta^2 (d_B - k),
+    delta = mu_1 - mu_0, in O(d_B k^2), with R taken one block of rows at a
+    time (``qr_r_by_rows``).  The Frobenius norm bounds the max-abs entry
+    from above, so when it is within ``TOL.no_signal`` it is returned.
+    Otherwise, and whenever k >= d_B, the max-abs entry of D, one block of
+    rows at a time, gives the verdict: either way a deviation is above the
+    tolerance exactly when D's max-abs entry is.
+    """
+    (f0, mu0), (f1, mu1) = rec0.factor(slice(0)), rec1.factor(slice(0))  # no rows: the widths and the floors
+    k0, k, delta = f0.shape[1], f0.shape[1] + f1.shape[1], mu1 - mu0
+    if k < d_b:
+        r = qr_r_by_rows(
+            lambda lo, hi: np.concatenate([rec0.factor(slice(lo, hi))[0], rec1.factor(slice(lo, hi))[0]], axis=1),
+            d_b,
+            k,
+        )
+        inside = r[:, k0:] @ dagger(r[:, k0:]) - r[:, :k0] @ dagger(r[:, :k0]) + delta * np.eye(k)
+        frob = float(np.sqrt(np.vdot(inside, inside).real + delta**2 * (d_b - k)))
+        if frob <= TOL.no_signal:
+            return frob
+    f0, f1 = rec0.factor()[0], rec1.factor()[0]
 
     def rows(lo, hi):
         diff = f1[lo:hi] @ dagger(f1) - f0[lo:hi] @ dagger(f0)
-        k = np.arange(hi - lo)
-        diff[k, lo + k] += mu1 - mu0
+        i = np.arange(hi - lo)
+        diff[i, lo + i] += delta
         return diff
 
-    return max_abs_by_rows(rows, f0.shape[0], f0.shape[0])
+    return max_abs_by_rows(rows, d_b, d_b)
 
 
 def make_assemblage(settings, d_b: int) -> Assemblage:
@@ -132,9 +161,8 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
         recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
     if len(recs) > 1:
-        f0, mu0 = recs[0].factor()
         for rec in recs[1:]:
-            dev = _marginal_deviation(f0, mu0, *rec.factor())
+            dev = _marginal_deviation(recs[0], rec, out.d_b)
             if dev > TOL.no_signal:
                 raise ValidationError(
                     f"no-signalling violated: marginal of {rec.label!r} deviates from "
@@ -345,7 +373,7 @@ def reid_witness(assemblage: Assemblage, h, m) -> tuple[float, float]:
     cv_h, _ = _best_setting(assemblage, h, setting_average_variance, min)
     cv_m, _ = _best_setting(assemblage, m, setting_average_variance, min)
     # <[H, M]> = sum_i lam_i <v_i|[H, M]|v_i> on Bob's reduced spectrum; -i[H, M] is Hermitian
-    comm_sq = expectation(assemblage.reduced_spectrum(), -1j * (h @ m - m @ h)) ** 2
+    comm_sq = expectation(assemblage.reduced_spectrum(), commutator(h, m)) ** 2
     rhs = comm_sq / 4.0
     lhs = cv_h * cv_m
     if cv_m > 1e-14:

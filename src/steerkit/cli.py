@@ -1,6 +1,7 @@
 """Command-line reproduction of the worked examples as CSV/JSON tables.
 
-Exit codes: 0 success, 2 validation/schema error, 3 numeric failure.
+Exit codes: 0 success, 2 validation/schema error (a size over its documented
+limit included), 3 numeric failure or running out of memory.
 Ranges use the inclusive ``start:stop:step`` syntax (endpoints kept within
 half a step); CSV output uses '.' decimals, ',' separators and 15
 significant digits.
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory ({str(exc) or 'no detail'}); use smaller sizes", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

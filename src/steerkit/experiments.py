@@ -5,6 +5,10 @@ quantities with the analytic reference value when one exists (empty cell
 otherwise).  Parameter grids are evaluated in grid order; the partition-noise
 table (all ks at once, one pass per N_A sector) and the ``quantify`` simplex
 (one stack of spectra) are evaluated whole, as arrays.
+
+Every size a table takes is checked against its limit before any row is
+computed: GHZ qubits against ``states.MAX_STATE_BYTES``, and
+``MAX_QUANTIFY_POINTS``, ``MAX_MULTIGEN_D`` and ``MAX_PARTITION_N`` below.
 """
 
 from __future__ import annotations
@@ -35,10 +39,22 @@ from .states import (
     hybrid_cat,
     collective_jz,
     partition_sector_amplitudes,
+    require_qubits,
     spin_ops,
     split_dicke_fixed,
     wigner_rotation_matrix,
 )
+
+
+MAX_QUANTIFY_POINTS = 1_000_000  # d = 3 simplex grid points: step 0.001 (501,501 points) fits
+MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
+MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
+
+
+def _check_limit(value: int, limit: int, what: str, name: str) -> None:
+    """Reject a size over its documented limit, naming the limit."""
+    if value > limit:
+        raise ValidationError(f"{what} {value:.0f} is over the limit {name} = {limit}")
 
 
 def parallel_map(fn, items):
@@ -124,6 +140,14 @@ def maximally_entangled_assemblage(d: int) -> tuple[Assemblage, BipartitePureSta
 # GHZ tables
 # ---------------------------------------------------------------------------
 
+def _ghz_sizes(n_values) -> list[int]:
+    """Bob's qubit counts, once the largest GHZ state (n_bob + 1 qubits) passes ``require_qubits``."""
+    n_values = [int(n) for n in n_values]
+    if n_values:
+        require_qubits(max(n_values) + 1)
+    return n_values
+
+
 def ghz_rows(n_values, phi: float = 0.0):
     header = ["n_bob", "cond_qfi", "cond_qfi_ref", "cond_var", "cond_var_ref", "delta", "steering"]
 
@@ -133,7 +157,7 @@ def ghz_rows(n_values, phi: float = 0.0):
         report = steering_witness(asm, jz)
         return [n_bob, report.cond_qfi, float(n_bob**2), report.cond_var, 0.0, report.delta, int(report.steering)]
 
-    return header, parallel_map(one, [int(n) for n in n_values])
+    return header, parallel_map(one, _ghz_sizes(n_values))
 
 
 def ghz_noise_closed_forms(n_bob: int, p: float) -> tuple[float, float]:
@@ -156,7 +180,7 @@ def ghz_noise_rows(n_values, p_values, phi: float = 0.0):
         "steering",
         "steering_asymptotic",
     ]
-    grid = [(int(n), float(p)) for n in n_values for p in p_values]
+    grid = [(n, float(p)) for n in _ghz_sizes(n_values) for p in p_values]
 
     def one(point):
         n_bob, p = point
@@ -240,6 +264,7 @@ def split_dicke_partition_table(n: int, p: float, k_values) -> list[PartitionQua
     overlap.  Results follow the order of ``k_values``, duplicates included.
     """
     n, ks = int(n), [int(k) for k in k_values]
+    _check_limit(n, MAX_PARTITION_N, "partition table n", "MAX_PARTITION_N")
     for k in ks:
         if n < 1 or not 0 <= k <= n:
             raise ValidationError(f"invalid Dicke parameters k={k}, n={n}")
@@ -359,6 +384,8 @@ def quantify_rows(step: float = 0.01):
     """s_max and s_avg/8 over the d = 3 simplex grid of spacing ``step``, evaluated as one stack."""
     if not 0.0 < step <= 1.0:
         raise ValidationError(f"quantify step must lie in (0, 1], got {step}")
+    # counted in floats, so a step so small that 1/step overflows is rejected here too
+    _check_limit((1.0 / step + 1.0) * (1.0 / step + 2.0) / 2.0, MAX_QUANTIFY_POINTS, "quantify grid points", "MAX_QUANTIFY_POINTS")
     steps = int(round(1.0 / step))
     if abs(steps * step - 1.0) > 1e-9:
         raise ValidationError(f"quantify step must divide 1 so the grid stays on the simplex, got {step}")
@@ -384,7 +411,9 @@ def multigen_rows(d_values):
         ref = 4.0 * (d - 1) + 4.0 * (1.0 - 1.0 / d)
         return [d, value, ref, bound, int(value > bound + TOL.witness)]
 
-    return header, parallel_map(one, [int(d) for d in d_values])
+    d_values = [int(d) for d in d_values]
+    _check_limit(max(d_values, default=0), MAX_MULTIGEN_D, "multigen d", "MAX_MULTIGEN_D")
+    return header, parallel_map(one, d_values)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 Validated operator/state helpers plus the eigendecomposition, tensor-product,
 partial-trace and generator-exponential primitives everything else builds on.
+A diagonal operator may be given as its real diagonal, a 1-D float array:
+``require_hermitian`` checks that form, and the functionals act on it as a
+row scaling, so it never becomes a d x d matrix.
 A ``Spectrum`` is the package's one state representation: r orthonormal
 columns with their eigenvalues, and a floor, the single eigenvalue of every
 direction outside them (zero for a state on its support, (1-p)/d for white
@@ -79,8 +82,34 @@ def max_abs_by_rows(rows_of, n_rows: int, n_cols: int) -> float:
     return dev
 
 
+def qr_r_by_rows(rows_of, n_rows: int, n_cols: int) -> np.ndarray:
+    """R of a QR of the n_rows x n_cols matrix M (n_rows >= n_cols) that
+    ``rows_of(lo, hi)`` builds one block of rows at a time (``max_abs_by_rows``
+    blocks): the R of the stacked R factors of the blocks.  It is unique up
+    to a unitary on the left, as R^dag R = M^dag M is.
+    """
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    blocks = [np.linalg.qr(rows_of(lo, min(lo + step, n_rows)), mode="r") for lo in range(0, n_rows, step)]
+    return np.linalg.qr(np.concatenate(blocks), mode="r")
+
+
 def require_hermitian(matrix, tol: float = TOL.herm, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (max-abs) and return the operator."""
+    """Validate Hermiticity within ``tol`` (max-abs) and return the operator.
+
+    A 1-D array is a diagonal operator given by its diagonal: it must be
+    finite, with imaginary parts within ``tol / 2`` (the dense check's
+    |M_ii - conj(M_ii)|), and comes back as a float array.
+    """
+    if np.ndim(matrix) == 1:
+        diag = np.asarray(matrix)
+        if np.iscomplexobj(diag):
+            dev = 2.0 * float(np.max(np.abs(diag.imag), initial=0.0))
+            if dev > tol:
+                raise ValidationError(f"{name} diagonal is not real: max |h - conj(h)| = {dev:.3e} > {tol:.1e}")
+        diag = np.asarray(diag.real, dtype=float)
+        if not np.all(np.isfinite(diag)):
+            raise ValidationError(f"{name} diagonal has non-finite entries")
+        return diag
     out = as_complex_matrix(matrix, name)
     if out.shape[0] != out.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {out.shape}")
@@ -96,7 +125,7 @@ def require_density_matrix(matrix, name: str = "density matrix") -> np.ndarray:
     Rejects (rather than clips) negative eigenvalues below ``TOL.psd``;
     silent clipping would mask construction bugs upstream.
     """
-    out = require_hermitian(matrix, name=name)
+    out = require_hermitian(as_complex_matrix(matrix, name), name=name)
     out = (out + dagger(out)) / 2.0
     tr = complex(np.trace(out))
     if abs(tr - 1.0) > TOL.trace:
@@ -148,7 +177,7 @@ class Spectrum:
 
 def hermitian_eig(operator) -> Spectrum:
     """Eigendecompose a Hermitian operator (checked to ``TOL.herm``); eigenvalues come out ascending."""
-    op = require_hermitian(operator)
+    op = require_hermitian(as_complex_matrix(operator, "operator"))
     try:
         vals, vecs = np.linalg.eigh(op)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
@@ -167,6 +196,21 @@ def factor_spectrum(factor: np.ndarray, floor: float = 0.0) -> Spectrum:
         return Spectrum(s**2 + floor, u, floor).support()
     spec = hermitian_eig(factor @ dagger(factor))
     return Spectrum(spec.eigenvalues + floor, spec.eigenvectors, floor).support()
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-i[A, B] of two Hermitian operators, each a d x d matrix or its real diagonal.
+
+    A diagonal acts as a row (diag(a) B) or column (B diag(a)) scaling; two
+    diagonals commute, which gives the zero diagonal.
+    """
+    if a.ndim == b.ndim == 1:
+        return np.zeros(a.shape)
+    if a.ndim == 1:
+        return -1j * (a[:, None] * b - b * a)
+    if b.ndim == 1:
+        return -1j * (a * b - b[:, None] * a)
+    return -1j * (a @ b - b @ a)
 
 
 def tensor(*factors) -> np.ndarray:

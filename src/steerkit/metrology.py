@@ -7,9 +7,12 @@ direction, so white noise p |psi><psi| + (1-p) I/d is r = 1 with
 mu = (1-p)/d.  ``as_state`` is the one coercion: an amplitude vector is the
 r = 1 case, a density matrix gets one eigendecomposition, and a Spectrum is
 checked.  With H V in hand, expectation values, variances and the QFI cost
-O(d^2 r); the floor adds its share through tr H and ||H||_F^2.  ``variance``
-and ``qfi`` also take a stack (n, d, d) of operators and return the n x n
-covariance or QFI matrix, from the same formulas.  A POVM is
+O(d^2 r); the floor adds its share through tr H and ||H||_F^2.  A diagonal
+operator may be passed as its real diagonal h, a 1-D float array: H V is then
+the row scaling h[:, None] * V, the floor terms are sum h and sum h^2, and
+the cost is O(d r).  ``variance`` and ``qfi`` also take a stack (n, d, d) of
+operators and return the n x n covariance or QFI matrix, from the same
+formulas.  A POVM is
 stored as one factor K_a per outcome, E_a = K_a K_a^dag, so outcome
 probabilities come from K_a^dag V and no effect is formed as a d x d matrix.
 """
@@ -26,6 +29,7 @@ from .linalg import (
     Spectrum,
     ValidationError,
     as_complex_matrix,
+    commutator,
     dagger,
     require_hermitian,
     require_state_vector,
@@ -114,7 +118,7 @@ def as_state(state, p: float = 1.0, name: str = "state") -> Spectrum:
         return _scaled(state, p, name)
     st = np.asarray(state, dtype=complex)
     if st.ndim == 1:
-        return Spectrum(np.ones(1), require_state_vector(st / np.sqrt(p), name)[:, None])
+        return Spectrum(np.ones(1), require_state_vector(st if p == 1.0 else st / np.sqrt(p), name)[:, None])
     return _scaled(Spectrum(*np.linalg.eigh(require_hermitian(st, name=name))), p, name).support()
 
 
@@ -133,19 +137,36 @@ def _scaled(st: Spectrum, p: float, name: str) -> Spectrum:
     return st if p == 1.0 else Spectrum(st.eigenvalues / p, st.eigenvectors, mu / p)
 
 
+def _one(operator, name: str) -> np.ndarray:
+    """One operator, a diagonal (d,) or a d x d matrix, not a stack; ``_rotate`` checks a diagonal."""
+    op = np.asarray(operator)
+    return op if op.ndim == 1 else as_complex_matrix(op, name)
+
+
 def _rotate(state, operator, name: str) -> tuple[Spectrum, np.ndarray, np.ndarray]:
     """The state's spectral form, H and H V, after checking dimensions.
 
-    The operator may be one d x d matrix or a stack (n, d, d), whose H V is
-    (n, d, r); functionals of one operator coerce it with
-    ``as_complex_matrix`` first.  A ``Spectrum`` is taken as built:
-    ``as_state`` checks it once, where it enters an assemblage.
+    The operator may be a real diagonal (d,), whose H V is the row scaling
+    h[:, None] * V, one d x d matrix or a stack (n, d, d), whose H V is
+    (n, d, r); functionals of one operator coerce it with ``_one`` first.
+    A ``Spectrum`` is taken as built: ``as_state`` checks it once, where it
+    enters an assemblage.
     """
     st = state if isinstance(state, Spectrum) else as_state(state)
+    if np.ndim(operator) == 1:
+        op = require_hermitian(operator, name=name)
+        if op.shape != (st.dim,):
+            raise ValidationError(f"{name} diagonal has shape {op.shape}, state dimension is {st.dim}")
+        return st, op, op[:, None] * st.eigenvectors
     op = np.ascontiguousarray(operator, dtype=complex)  # ``_gram`` views a stack as floats
     if op.ndim not in (2, 3) or op.shape[-2:] != (st.dim, st.dim):
         raise ValidationError(f"{name} has shape {op.shape}, state dimension is {st.dim}")
     return st, op, op @ st.eigenvectors
+
+
+def _trace(op: np.ndarray):
+    """tr H of a diagonal, one matrix or each matrix of a stack."""
+    return op.sum() if op.ndim == 1 else np.trace(op, axis1=-2, axis2=-1).real
 
 
 def _gram(x: np.ndarray, w: np.ndarray):
@@ -162,9 +183,9 @@ def _gram(x: np.ndarray, w: np.ndarray):
 
 def expectation(state, operator) -> float:
     """<O> = sum_i (lam_i - floor) <v_i|O|v_i> + floor tr O; real part returned."""
-    st, op, ov = _rotate(state, as_complex_matrix(operator, "operator"), "operator")
+    st, op, ov = _rotate(state, _one(operator, "operator"), "operator")
     val = float((st.eigenvalues - st.floor) @ np.vecdot(st.eigenvectors, ov, axis=0).real)
-    return val + st.floor * float(np.trace(op).real) if st.floor else val
+    return val + st.floor * float(_trace(op)) if st.floor else val
 
 
 def variance(state, observables):
@@ -181,8 +202,8 @@ def variance(state, observables):
     second = _gram(hv, w)
     mean = np.vecdot(st.eigenvectors, hv, axis=-2).real @ w
     if st.floor:
-        second = second + st.floor * _gram(op, np.ones(st.dim))
-        mean = mean + st.floor * np.trace(op, axis1=-2, axis2=-1).real
+        second = second + st.floor * (op @ op if op.ndim == 1 else _gram(op, np.ones(st.dim)))
+        mean = mean + st.floor * _trace(op)
     val = second - np.multiply.outer(mean, mean)
     low = float(np.min(np.diagonal(val))) if val.ndim else float(val)
     if low < -1e-12:
@@ -251,7 +272,7 @@ def cfi(povm: POVM, state, generator) -> float:
     outcome with p < prob_floor but |dp| >= prob_floor makes the Fisher
     information singular and raises.
     """
-    st, _, hv = _rotate(state, as_complex_matrix(generator, "generator"), "generator")
+    st, _, hv = _rotate(state, _one(generator, "generator"), "generator")
     w = st.eigenvalues - st.floor
     total = 0.0
     for lab, rows, kv, p in _outcomes(povm, st):
@@ -269,13 +290,13 @@ def cfi(povm: POVM, state, generator) -> float:
 
 def qfi_commutator_bound(state, generator, observable) -> float:
     """Moment-based lower bound |<[H, M]>|^2 / Var[rho, M] on the QFI."""
-    h = as_complex_matrix(generator, "generator")
-    m = as_complex_matrix(observable, "observable")
+    h = _one(generator, "generator")
+    m = _one(observable, "observable")
     st = as_state(state)
     var_m = variance(st, m)
     if var_m <= 1e-14:
         raise NumericError("Var[rho, M] vanishes; the commutator bound is undefined")
-    return expectation(st, -1j * (h @ m - m @ h)) ** 2 / var_m
+    return expectation(st, commutator(h, m)) ** 2 / var_m
 
 
 def var_qfi_gap(state, generator):
@@ -289,7 +310,7 @@ def var_qfi_gap(state, generator):
     The gap vanishes exactly when Pi H Pi is proportional to Pi on the
     support Pi of rho, which is the whole space when mu > ``TOL.qfi_eigen``.
     """
-    st, op, hv = _rotate(state, as_complex_matrix(generator, "generator"), "generator")
+    st, op, hv = _rotate(state, _one(generator, "generator"), "generator")
     lam, mu = st.eigenvalues, st.floor
     h_eig = dagger(st.eigenvectors) @ hv
     pair_sum = lam[:, None] + lam[None, :]
@@ -301,7 +322,7 @@ def var_qfi_gap(state, generator):
     h2 = np.abs(h_eig) ** 2
     off_part = 2.0 * float(np.sum(weights * h2))
     diag = h_eig.diagonal().real
-    rest = float(np.trace(op).real - diag.sum()) if mu else 0.0  # tr(P H)
+    rest = float(_trace(op) - diag.sum()) if mu else 0.0  # tr(P H)
     mean_diag = float(np.dot(lam, diag)) + mu * rest
     gap = off_part + float(np.dot(lam, (diag - mean_diag) ** 2))
     if mu:
@@ -316,5 +337,6 @@ def var_qfi_gap(state, generator):
     r = h_sub.shape[0]
     if not r:
         return gap, False
-    c = np.trace(h_sub) / r
-    return gap, bool(np.max(np.abs(h_sub - c * np.eye(r))) < 1e-9)
+    diagonal = h_sub.ndim == 1
+    c = (h_sub.sum() if diagonal else np.trace(h_sub)) / r
+    return gap, bool(np.max(np.abs(h_sub - c if diagonal else h_sub - c * np.eye(r))) < 1e-9)

@@ -84,13 +84,16 @@ def _steering_basis(sd: SchmidtDecomposition, bob_vectors: np.ndarray) -> np.nda
 
 
 def _support_generator(state: BipartitePureState, h) -> tuple[SchmidtDecomposition, np.ndarray, np.ndarray]:
-    """Schmidt data, the support spectrum p of rho_B, and H on that support (Schmidt basis)."""
+    """Schmidt data, the support spectrum p of rho_B, and H on that support (Schmidt basis).
+
+    H is a d_B x d_B matrix or its real diagonal."""
     op = require_hermitian(h, name="H")
     if op.shape[0] != state.d_b:
         raise ValidationError(f"H acts on dimension {op.shape[0]}, Bob has {state.d_b}")
     sd = schmidt(state)
     b_support = sd.basis_b[:, : sd.rank]
-    return sd, sd.coefficients[: sd.rank], dagger(b_support) @ op @ b_support
+    h_b = op[:, None] * b_support if op.ndim == 1 else op @ b_support
+    return sd, sd.coefficients[: sd.rank], dagger(b_support) @ h_b
 
 
 def optimal_povm_qfi(state: BipartitePureState, h) -> POVM:

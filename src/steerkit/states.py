@@ -1,10 +1,12 @@
 """Constructors for the states and operators used throughout the worked examples.
 
 Collective spin operators act on the (N+1)-dimensional symmetric sector with
-basis index k counting excitations, so J_z |k> = (k - N/2) |k>.  Only the
-GHZ-with-white-noise construction lives in the full 2^N qubit space (the
-identity admixture is not symmetric-sector), capped at 12 qubits; it is kept
-in spectral form, the GHZ vector over the floor (1-p)/2^N.
+basis index k counting excitations, so J_z |k> = (k - N/2) |k>.  The GHZ
+states live in the full 2^N qubit space (the white-noise admixture is not
+symmetric-sector): the noisy one is kept in spectral form, the GHZ vector
+over the floor (1-p)/2^N, and J_z there is its real diagonal, so the largest
+array of a GHZ run is the state vector itself.  Its size is capped at
+``MAX_STATE_BYTES`` (``require_qubits``).
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 fixed by the vacuum variance Var[x] = 1/2.  Conventions vary between texts;
@@ -129,12 +131,26 @@ def wigner_rotation_matrix(n_particles: int, phi: float) -> np.ndarray:
 # GHZ states
 # ---------------------------------------------------------------------------
 
-_MAX_QUBITS = 12  # largest noisy GHZ state: its dense form is 2^12 x 2^12
+MAX_STATE_BYTES = 1 << 27  # 128 MiB for one complex state vector of 2^n amplitudes (16 bytes each)
+MAX_QUBITS = (MAX_STATE_BYTES // 16).bit_length() - 1  # 23, the most qubits whose state vector fits
+
+
+def require_qubits(n_qubits: int) -> int:
+    """n_qubits, once its state vector (16 * 2^n bytes) fits in ``MAX_STATE_BYTES``."""
+    n = int(n_qubits)
+    if n > MAX_QUBITS:
+        raise ValidationError(
+            f"state vector capped at MAX_STATE_BYTES = {MAX_STATE_BYTES} bytes ({MAX_QUBITS} qubits); "
+            f"{n} qubits need {16 << n}"
+        )
+    return n
+
 
 def ghz_vector(n_qubits: int, phi: float) -> np.ndarray:
     """(|0...0> + e^{i phi} |1...1>)/sqrt(2) on the full 2^n space."""
     if n_qubits < 1:
         raise ValidationError(f"need at least one qubit, got {n_qubits}")
+    require_qubits(n_qubits)
     vec = np.zeros(2**n_qubits, dtype=complex)
     vec[0] = 1.0 / math.sqrt(2.0)
     vec[-1] = np.exp(1j * phi) / math.sqrt(2.0)
@@ -150,9 +166,9 @@ def ghz_state(n_total: int, phi: float = 0.0) -> BipartitePureState:
 
 
 def collective_jz(n_qubits: int) -> np.ndarray:
-    """J_z = (1/2) sum_i sigma_z^(i) on the full 2^n space, diagonal."""
-    diag = [(n_qubits - 2 * bin(i).count("1")) / 2.0 for i in range(2**n_qubits)]
-    return np.diag(np.asarray(diag, dtype=complex))
+    """J_z = (1/2) sum_i sigma_z^(i) on the full 2^n space, as its real diagonal n/2 - popcount(i)."""
+    n = require_qubits(n_qubits)
+    return n / 2.0 - np.bitwise_count(np.arange(2**n)).astype(float)
 
 
 def white_noise_mixture(psi, p: float) -> Spectrum:
@@ -165,12 +181,10 @@ def white_noise_mixture(psi, p: float) -> Spectrum:
 
 
 def ghz_white_noise_state(n_total: int, phi: float, p: float) -> Spectrum:
-    """p |GHZ><GHZ| + (1-p) I/2^n in spectral form (``white_noise_mixture``), for at most ``_MAX_QUBITS`` qubits."""
+    """p |GHZ><GHZ| + (1-p) I/2^n in spectral form (``white_noise_mixture``), within ``MAX_STATE_BYTES``."""
     n = int(n_total)
     if n < 2:
         raise ValidationError(f"GHZ needs n_total >= 2, got {n_total}")
-    if n > _MAX_QUBITS:
-        raise ValidationError(f"dense GHZ mixture capped at {_MAX_QUBITS} qubits, got {n}")
     return white_noise_mixture(ghz_vector(n, phi), p)
 
 

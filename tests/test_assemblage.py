@@ -27,8 +27,8 @@ from steerkit.experiments import (
     qubit_basis_povm,
     split_dicke_assemblage,
 )
-from steerkit.linalg import Spectrum, ValidationError, tensor
-from steerkit.metrology import make_povm, povm_from_basis, qfi, variance
+from steerkit.linalg import TOL, Spectrum, ValidationError, tensor
+from steerkit.metrology import as_state, make_povm, povm_from_basis, qfi, variance
 from steerkit.pure import optimal_assemblage
 from steerkit.states import (
     BipartitePureState,
@@ -578,3 +578,182 @@ class TestNoSignallingCheck:
             make_assemblage([a, SettingRecord("b", np.array([1.0]), (tilted,))], d)
         assert str(err.value) == "no-signalling violated: marginal of 'b' deviates from 'a' by 1.000e-02 (max-abs)"
         assert make_assemblage([a, SettingRecord("a2", np.array([1.0]), (mixed,))], d).labels == ("a", "a2")
+
+    @staticmethod
+    def record(label, *states):
+        return SettingRecord(label, np.full(len(states), 1.0 / len(states)), states)
+
+    @staticmethod
+    def dense_deviation(rec0, rec1):
+        """The blockwise check's quantity, max |D_ij|, from the dense marginals."""
+        marginal = [sum(p * st.reconstruct() for p, st in zip(rec.probabilities, rec.states)) for rec in (rec0, rec1)]
+        return float(np.max(np.abs(marginal[1] - marginal[0])))
+
+    @staticmethod
+    def blockwise_forbidden(monkeypatch):
+        import steerkit.assemblage as module
+
+        def forbidden(*args):
+            raise AssertionError("the QR check should have decided")
+
+        monkeypatch.setattr(module, "max_abs_by_rows", forbidden)
+
+    @staticmethod
+    def count_blockwise(monkeypatch):
+        import steerkit.assemblage as module
+
+        calls = []
+        blockwise = module.max_abs_by_rows
+        monkeypatch.setattr(module, "max_abs_by_rows", lambda *args: calls.append(1) or blockwise(*args))
+        return calls
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_single_entry_deviation_at_the_tolerance(self, monkeypatch, side):
+        from steerkit.assemblage import _marginal_deviation
+
+        d, tol = 8, TOL.no_signal
+        eps = tol * (1.0 - 1e-6 if side == "below" else 1.0 + 1e-6)
+        mixed = Spectrum(np.zeros(0), np.zeros((d, 0), dtype=complex), 1.0 / d)
+        tilted = Spectrum(np.array([1.0 / d + eps]), np.eye(d, 1, dtype=complex), 1.0 / d)  # D = eps |0><0|
+        rec0, rec1 = self.record("a", mixed), self.record("b", tilted)
+        ref = self.dense_deviation(rec0, rec1)
+        if side == "below":
+            self.blockwise_forbidden(monkeypatch)
+        dev = _marginal_deviation(rec0, rec1, d)
+        assert (dev > tol) == (ref > tol) == (side == "above")
+        assert abs(dev - eps) < 1e-6 * eps
+
+    def test_spread_deviation_falls_back_and_accepts(self, monkeypatch):
+        # D = eps diag(1 x 16, -1 x 16): ||D||_F = eps sqrt(32) > tol, but max |D_ij| = eps < tol
+        d, eps = 32, 0.5 * TOL.no_signal
+        mixed = Spectrum(np.zeros(0), np.zeros((d, 0), dtype=complex), 1.0 / d)
+        spread = Spectrum(np.full(16, 1.0 / d + eps), np.eye(d, 16, dtype=complex), 1.0 / d - eps)
+        rec0, rec1 = self.record("a", mixed), self.record("b", spread)
+        assert abs(self.dense_deviation(rec0, rec1) - eps) < 1e-6 * eps
+        calls = self.count_blockwise(monkeypatch)
+        assert make_assemblage([rec0, rec1], d).labels == ("a", "b")
+        assert calls == [1]
+
+    @pytest.mark.parametrize("scale", [0.2, 0.9, 1.1])
+    def test_floor_only_deviation(self, rng, monkeypatch, scale):
+        # the same columns with every eigenvalue and the floor raised by delta: D = delta I,
+        # ||D||_F = delta sqrt(5): the QR accepts at 0.2 tol, the blockwise check at 0.9, and rejects at 1.1
+        from steerkit.assemblage import _marginal_deviation
+
+        d, tol = 5, TOL.no_signal
+        delta = scale * tol
+        base = random_floored_state(rng, d, 2, 0.1)
+        raised = Spectrum(base.eigenvalues + delta, base.eigenvectors, base.floor + delta)
+        rec0, rec1 = self.record("a", base), self.record("b", raised)
+        calls = self.count_blockwise(monkeypatch)
+        dev = _marginal_deviation(rec0, rec1, d)
+        assert (dev > tol) == (self.dense_deviation(rec0, rec1) > tol) == (scale > 1.0)
+        if scale < 0.4:
+            assert calls == [] and abs(dev - delta * math.sqrt(d)) < 1e-5 * dev
+        else:
+            assert calls == [1] and abs(dev - delta) < 1e-5 * delta
+
+    def test_at_least_d_b_columns_go_straight_to_the_blockwise_check(self, rng, monkeypatch):
+        import steerkit.assemblage as module
+        from steerkit.assemblage import _marginal_deviation
+
+        def forbidden(*args):
+            raise AssertionError("k >= d_B must not take the QR")
+
+        monkeypatch.setattr(module, "qr_r_by_rows", forbidden)
+        rho = random_density(rng, 3)
+        for shift in (0.0, 1e-3):
+            other = rho + shift * np.diag([1.0, -1.0, 0.0])
+            # two full-rank outcomes per setting: k = 6 + 6 columns > d_B = 3
+            rec0 = self.record("a", as_state(rho), as_state(rho))
+            rec1 = self.record("b", as_state(other), as_state(other))
+            dev = _marginal_deviation(rec0, rec1, 3)
+            assert abs(dev - self.dense_deviation(rec0, rec1)) < 1e-14
+            assert (dev > TOL.no_signal) == (shift > 0)
+        # k = 1 + 2 columns = d_B = 3
+        rec0, rec1 = self.record("a", as_state(random_pure(rng, 3))), self.record("b", random_floored_state(rng, 3, 2, 0.0))
+        assert abs(_marginal_deviation(rec0, rec1, 3) - self.dense_deviation(rec0, rec1)) < 1e-14
+
+    def test_rejected_deviation_is_reported_as_its_max_abs(self):
+        # D = eps diag(1, -1, 0, ...): max |D_ij| = eps = 1.2 tol is reported, not ||D||_F = 1.7 tol
+        from steerkit.assemblage import _marginal_deviation
+
+        d, eps = 6, 1.2 * TOL.no_signal
+        cols = np.eye(d, 2, dtype=complex)
+        rec0 = self.record("a", Spectrum(np.array([0.3, 0.3]), cols, 0.1))
+        rec1 = self.record("b", Spectrum(np.array([0.3 + eps, 0.3 - eps]), cols, 0.1))
+        dev = _marginal_deviation(rec0, rec1, d)
+        assert abs(dev - eps) < 1e-6 * eps and abs(self.dense_deviation(rec0, rec1) - eps) < 1e-6 * eps
+
+
+class TestDiagonalGenerators:
+    """A diagonal generator passed as its real diagonal gives what np.diag of it gives, to 1e-12 relative."""
+
+    SETTINGS = [("z", qubit_basis_povm("z")), ("x", qubit_basis_povm("x"))]
+
+    def cases(self, rng):
+        """(assemblage, diagonal): pure and noisy GHZ with J_z, a floored rank-3 and a full-rank rho_AB with a random diagonal."""
+        yield ghz_assemblage(4, 0.3), collective_jz(4)
+        yield ghz_noise_assemblage(4, 0.0, 0.6), collective_jz(4)
+        yield assemblage_from_state(random_floored_state(rng, 8, 3, 0.02), (2, 4), self.SETTINGS), rng.standard_normal(4)
+        yield assemblage_from_state(random_density(rng, 8), (2, 4), self.SETTINGS), rng.standard_normal(4)
+
+    def test_witness_quantities_match_dense(self, rng):
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+        for asm, h in self.cases(rng):
+            dense, m = np.diag(h), random_hermitian(rng, asm.d_b)
+            got, ref = steering_witness(asm, h), steering_witness(asm, dense)
+            assert ref.cond_qfi > 1e-2 and ref.var_reduced > 1e-2
+            for field in ("cond_qfi", "cond_var", "delta", "qfi_reduced", "var_reduced"):
+                assert close(getattr(got, field), getattr(ref, field)), field
+            assert (got.argmax_setting, got.argmin_setting, got.steering) == (ref.argmax_setting, ref.argmin_setting, ref.steering)
+            for conditional in (conditional_qfi, conditional_variance):
+                assert close(conditional(asm, h)[0], conditional(asm, dense)[0])
+            for pair, pair_ref in (((h, m), (dense, m)), ((m, h), (m, dense))):
+                for x, y in zip(reid_witness(asm, *pair), reid_witness(asm, *pair_ref)):
+                    assert close(x, y)
+            # two diagonals commute: the commutator bound is 0
+            assert reid_witness(asm, h, h[::-1].copy())[1] == 0.0
+            povm_b = povm_from_basis(np.linalg.qr(random_hermitian(rng, asm.d_b))[0])
+            for label in asm.labels:
+                assert close(joint_cfi(asm, label, povm_b, h), joint_cfi(asm, label, povm_b, dense))
+
+    def test_optimal_settings_match_dense(self, rng):
+        state = BipartitePureState(dims=(3, 4), amplitudes=random_pure(rng, 12))
+        h = rng.standard_normal(4)
+        got, ref = optimal_assemblage(state, h), optimal_assemblage(state, np.diag(h))
+        for rec, rec_ref in zip(got.settings, ref.settings):
+            assert np.max(np.abs(rec.probabilities - rec_ref.probabilities)) < 1e-12
+            for st, st_ref in zip(rec.states, rec_ref.states):
+                assert np.max(np.abs(st.reconstruct() - st_ref.reconstruct())) < 1e-12
+
+    def test_complex_diagonal_is_rejected(self):
+        with pytest.raises(ValidationError, match="not real"):
+            steering_witness(ghz_assemblage(2), np.array([1.0, 0.5j, 0.0, -1.0]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            steering_witness(ghz_assemblage(2), np.array([1.0, np.nan, 0.0, -1.0]))
+
+    def test_ghz_witness_holds_nothing_of_size_d_b_squared(self, monkeypatch):
+        import tracemalloc
+
+        import steerkit.assemblage as assemblage_module
+        import steerkit.linalg as linalg_module
+
+        def forbidden(*args):
+            raise AssertionError("the GHZ witness path ran a blockwise d_B x d_B check")
+
+        ghz_assemblage(2)  # first-call imports and caches stay out of the measurement
+        for module in (assemblage_module, linalg_module):
+            monkeypatch.setattr(module, "max_abs_by_rows", forbidden)
+        n_bob = 12
+        tracemalloc.start()
+        try:
+            report = steering_witness(ghz_assemblage(n_bob), collective_jz(n_bob))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(report.cond_qfi - n_bob**2) < 1e-9 * n_bob**2
+        state_vector = 16 * 2 ** (n_bob + 1)  # bytes of the GHZ amplitude vector
+        assert peak < 10 * state_vector  # the dense J_z alone would be 2^11 state vectors

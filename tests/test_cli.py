@@ -36,6 +36,21 @@ INVALID_COMMANDS = {
     "quantify_negative_step": ["quantify", "--step", "-0.1"],
     "quantify_step_not_dividing_1": ["quantify", "--step", "0.6"],
     "witness_unknown_type": ["witness", "{tmp}/foo.json", "--observable", "{tmp}/obs.json"],
+    # sizes over their documented limits (``TestExitCodes.test_over_limit_names_the_limit``)
+    "ghz_over_qubit_limit": ["ghz", "--n", "1:23"],
+    "ghz-noise_over_qubit_limit": ["ghz-noise", "--n", "23", "--noise", "0.2"],
+    "quantify_over_point_limit": ["quantify", "--step", "0.0005"],
+    "quantify_step_with_infinite_grid": ["quantify", "--step", "1e-320"],
+    "multigen_over_d_limit": ["multigen", "--d", "2:17"],
+    "split-dicke-partition_over_n_limit": ["split-dicke-partition", "--n", "401"],
+}
+OVER_LIMIT = {
+    "ghz_over_qubit_limit": "MAX_STATE_BYTES",
+    "ghz-noise_over_qubit_limit": "MAX_STATE_BYTES",
+    "quantify_over_point_limit": "MAX_QUANTIFY_POINTS",
+    "quantify_step_with_infinite_grid": "MAX_QUANTIFY_POINTS",
+    "multigen_over_d_limit": "MAX_MULTIGEN_D",
+    "split-dicke-partition_over_n_limit": "MAX_PARTITION_N",
 }
 
 
@@ -76,6 +91,22 @@ class TestExitCodes:
     def test_validation_error_is_2(self, argv, witness_files):
         argv = [a.format(tmp=witness_files) for a in argv]
         assert run_cli(argv + ["--out", str(witness_files / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("key", sorted(OVER_LIMIT))
+    def test_over_limit_names_the_limit(self, key, capsys):
+        assert run_cli(INVALID_COMMANDS[key]) == 2
+        assert OVER_LIMIT[key] in capsys.readouterr().err
+
+    def test_out_of_memory_is_3_without_a_traceback(self, monkeypatch, capsys):
+        from steerkit import experiments
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB for an array with shape (268435456,)")
+
+        monkeypatch.setattr(experiments, "parallel_map", exhausted)
+        assert run_cli(["ghz", "--n", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: out of memory") and "Traceback" not in err
 
     def test_unknown_witness_type_names_accepted_types(self, witness_files, capsys):
         argv = ["witness", str(witness_files / "foo.json"), "--observable", str(witness_files / "obs.json")]

@@ -208,3 +208,51 @@ class TestRowTables:
             assert bound == 4.0 * (d - 1)
             assert violated == 1
 
+
+
+class TestGhzNoiseAtScale:
+    def test_threshold_crossing_at_n_bob_20(self):
+        # n_bob = 17..21 at p = 0.2, around the asymptotic threshold (1 - p)/p^2 = 20
+        tol = 1e-8  # the ghz_noise.csv tolerance of TestReferenceColumns
+        header, rows = ghz_noise_rows(range(17, 22), [0.2])
+        col = {name: i for i, name in enumerate(header)}
+        assert [row[col["n_bob"]] for row in rows] == [17, 18, 19, 20, 21]
+        closed = {}
+        for row in rows:
+            n_bob = row[col["n_bob"]]
+            f_ref, v_ref = ghz_noise_closed_forms(n_bob, 0.2)
+            assert abs(row[col["cond_qfi"]] - f_ref) <= tol * max(abs(f_ref), 1.0)
+            assert abs(row[col["cond_var"]] - v_ref) <= tol * max(abs(v_ref), 1.0)
+            closed[n_bob] = f_ref / 4.0 - v_ref
+            assert np.sign(row[col["delta"]]) == np.sign(closed[n_bob])
+        assert -1.6e-4 < closed[20] < -1.5e-4 and 0.2 < closed[21] < 0.22
+        assert [row[col["steering"]] for row in rows] == [0, 0, 0, 0, 1]
+
+
+class TestSizeLimits:
+    """Each size over its documented limit is rejected before any row is computed."""
+
+    @pytest.mark.parametrize(
+        "call, limit",
+        [
+            (lambda: ghz_rows([1, 23]), "MAX_STATE_BYTES"),
+            (lambda: ghz_noise_rows([2, 30], [0.5]), "MAX_STATE_BYTES"),
+            (lambda: quantify_rows(step=0.0005), "MAX_QUANTIFY_POINTS"),
+            (lambda: multigen_rows([2, 17]), "MAX_MULTIGEN_D"),
+            (lambda: split_dicke_partition_rows(401, 0.5, [0]), "MAX_PARTITION_N"),
+        ],
+    )
+    def test_over_limit_is_rejected_up_front(self, monkeypatch, call, limit):
+        import steerkit.experiments as module
+
+        monkeypatch.setattr(module, "parallel_map", lambda fn, items: pytest.fail("rows computed before the check"))
+        with pytest.raises(ValidationError, match=limit):
+            call()
+
+    def test_largest_sizes_are_accepted(self):
+        from steerkit.experiments import MAX_QUANTIFY_POINTS
+        from steerkit.states import MAX_QUBITS, MAX_STATE_BYTES, require_qubits
+
+        assert MAX_QUBITS == 23 and 16 * 2**MAX_QUBITS == MAX_STATE_BYTES
+        assert require_qubits(MAX_QUBITS) == MAX_QUBITS
+        assert 1001 * 1002 // 2 <= MAX_QUANTIFY_POINTS < 2001 * 2002 // 2  # step 0.001 fits, 0.0005 does not

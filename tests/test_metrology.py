@@ -429,7 +429,8 @@ class TestFloor:
 
     def test_stack_of_the_wrong_shape_is_rejected(self, rng):
         st = random_floored_state(rng, 3, 1, 1e-3)
-        for bad in (np.zeros((2, 3, 4)), np.zeros((2, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros(3)):
+        # a 1-D array is a diagonal operator: only one of the wrong length is a bad shape
+        for bad in (np.zeros((2, 3, 4)), np.zeros((2, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros(4)):
             for functional in (qfi, variance):
                 with pytest.raises(ValidationError, match="shape"):
                     functional(st, bad)
@@ -452,3 +453,54 @@ class TestFloor:
         # judged at block scale: p rho with p = 1e-8
         st = as_state(Spectrum(1e-8 * np.array([0.2, 0.6]), v[:, :2], 1e-8 * 0.2), 1e-8)
         assert close(st.floor, 0.2) and np.allclose(st.eigenvalues, [0.2, 0.6], rtol=1e-12)
+
+
+class TestDiagonalOperators:
+    """A diagonal operator passed as its real diagonal h gives what np.diag(h) gives, to 1e-12 relative."""
+
+    @staticmethod
+    def cases(rng):
+        """(kind, state) on d = 6: pure, rank-3 mixed, floored rank 2, and full rank."""
+        yield "pure", as_state(random_pure(rng, 6))
+        yield "mixed", random_floored_state(rng, 6, 3, 0.0)
+        yield "floored", random_floored_state(rng, 6, 2, 0.05)
+        yield "full-rank", as_state(random_density(rng, 6))
+
+    def test_every_functional_matches_dense(self, rng):
+        kinds = []
+        for kind, st in self.cases(rng):
+            kinds.append(kind)
+            h = rng.standard_normal(st.dim)
+            dense, m = np.diag(h), random_hermitian(rng, st.dim)
+            # states on which the QFI and the variance do not vanish
+            assert qfi(st, dense) > 1e-2 and variance(st, dense) > 1e-2
+            for functional in (expectation, variance, qfi):
+                assert close(functional(st, h), functional(st, dense))
+            povm = povm_from_basis(random_unitary(rng, st.dim))
+            assert close(cfi(povm, st, h), cfi(povm, st, dense))
+            gap, saturated = var_qfi_gap(st, h)
+            gap_ref, saturated_ref = var_qfi_gap(st, dense)
+            assert close(gap, gap_ref) and saturated == saturated_ref
+            assert close(qfi_commutator_bound(st, h, m), qfi_commutator_bound(st, dense, m))
+            assert close(qfi_commutator_bound(st, m, h), qfi_commutator_bound(st, m, dense))
+        assert kinds == ["pure", "mixed", "floored", "full-rank"]
+
+    def test_constant_diagonal_saturates_on_a_floored_state(self, rng):
+        st = random_floored_state(rng, 4, 2, 0.05)
+        for h in (np.full(4, 1.5), np.array([1.0, 2.0, 3.0, 4.0])):
+            assert var_qfi_gap(st, h)[1] == var_qfi_gap(st, np.diag(h))[1]
+        assert var_qfi_gap(st, np.full(4, 1.5))[1]
+
+    def test_complex_or_non_finite_diagonal_is_rejected(self, rng):
+        from steerkit.linalg import require_hermitian
+
+        st = random_floored_state(rng, 3, 1, 1e-3)
+        for bad in (np.array([1.0, 1j, 0.0]), np.array([1.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0])):
+            with pytest.raises(ValidationError, match="diagonal"):
+                require_hermitian(bad)
+            for functional in (expectation, variance, qfi):
+                with pytest.raises(ValidationError, match="diagonal"):
+                    functional(st, bad)
+        # a complex dtype with imaginary parts inside the Hermiticity tolerance is a real diagonal
+        out = require_hermitian(np.array([1.0, 2.0 + 1e-13j, 0.0]))
+        assert out.dtype == float and np.array_equal(out, [1.0, 2.0, 0.0])

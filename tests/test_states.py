@@ -193,7 +193,7 @@ class TestGHZWhiteNoise:
 
     def test_dimension_guard(self):
         with pytest.raises(ValidationError, match="capped"):
-            ghz_white_noise(13, 0.0, 0.5)
+            ghz_white_noise(24, 0.0, 0.5)
 
     def test_spectral_form_is_rank_one_over_the_floor(self):
         st = ghz_white_noise_state(3, 0.4, 0.3)
@@ -203,7 +203,7 @@ class TestGHZWhiteNoise:
         dense = 0.3 * np.outer(vec, vec.conj()) + 0.7 * np.eye(8) / 8
         assert np.max(np.abs(ghz_white_noise(3, 0.4, 0.3) - dense)) < 1e-15
         with pytest.raises(ValidationError, match="capped"):
-            ghz_white_noise_state(13, 0.0, 0.5)
+            ghz_white_noise_state(24, 0.0, 0.5)
         with pytest.raises(ValidationError, match="probability"):
             ghz_white_noise_state(3, 0.0, 1.5)
 
@@ -373,7 +373,9 @@ class TestCollectiveJz:
             for o in ops[1:]:
                 term = np.kron(term, o)
             acc = acc + term
-        assert np.allclose(collective_jz(n), acc / 2)
+        jz = collective_jz(n)
+        assert jz.shape == (8,) and jz.dtype == float  # the real diagonal
+        assert np.allclose(np.diag(jz), acc / 2)
 
 
 class TestBipartitePureState:
