@@ -138,7 +138,7 @@ def _scaled(st: Spectrum, p: float, name: str) -> Spectrum:
 
 
 def _one(operator, name: str) -> np.ndarray:
-    """One operator, a diagonal (d,) or a d x d matrix, not a stack; ``_rotate`` checks a diagonal."""
+    """One operator, a diagonal (d,) or a d x d matrix, not a stack; ``_rotate`` checks a diagonal's dtype and length."""
     op = np.asarray(operator)
     return op if op.ndim == 1 else as_complex_matrix(op, name)
 
@@ -149,12 +149,16 @@ def _rotate(state, operator, name: str) -> tuple[Spectrum, np.ndarray, np.ndarra
     The operator may be a real diagonal (d,), whose H V is the row scaling
     h[:, None] * V, one d x d matrix or a stack (n, d, d), whose H V is
     (n, d, r); functionals of one operator coerce it with ``_one`` first.
-    A ``Spectrum`` is taken as built: ``as_state`` checks it once, where it
-    enters an assemblage.
+    Neither form is checked for Hermiticity or finiteness here: the entry
+    points (``require_hermitian``) do that once.  A ``Spectrum`` is taken as
+    built: ``as_state`` checks it once, where it enters an assemblage.
     """
     st = state if isinstance(state, Spectrum) else as_state(state)
     if np.ndim(operator) == 1:
-        op = require_hermitian(operator, name=name)
+        op = np.asarray(operator)
+        if np.iscomplexobj(op):
+            raise ValidationError(f"{name} diagonal must be real, got dtype {op.dtype}")
+        op = op.astype(float, copy=False)
         if op.shape != (st.dim,):
             raise ValidationError(f"{name} diagonal has shape {op.shape}, state dimension is {st.dim}")
         return st, op, op[:, None] * st.eigenvectors

@@ -50,6 +50,13 @@ class SampleRun:
     setting: str
 
 
+def _matrix(operator, name: str) -> np.ndarray:
+    """A checked operator as a d x d matrix: the sampler draws from its eigenbasis
+    and rotates by exp(-i theta H), so a diagonal (d,) becomes np.diag of it."""
+    op = require_hermitian(operator, name=name)
+    return np.diag(op) if op.ndim == 1 else op
+
+
 def _mean_derivative(rho: np.ndarray, h: np.ndarray, m: np.ndarray) -> float:
     """d<M>_theta/dtheta at theta = 0, analytically and with an FD cross-check."""
     comm = m @ h - h @ m
@@ -82,20 +89,22 @@ def moment_estimator_validation(
     when ``m`` is a sequence with one observable per outcome of the chosen
     setting) in its eigenbasis on his phase-shifted conditional state.  The
     estimator inverts the calibrated response of the sample mean of
-    (m_est(a) - m) around theta = 0.  ``empirical_var`` should match
+    (m_est(a) - m) around theta = 0.  H and M may each be a d x d matrix
+    or a real diagonal (d,); the sampler uses its d x d form, so this path
+    is meant for small d.  ``empirical_var`` should match
     ``predicted_var`` = Var[M_est] / (n |d<M_est - M>/dtheta|^2) in the
     central limit.
     """
     if n < 1 or reps < 2:
         raise ValidationError(f"need n >= 1 shots and reps >= 2 repetitions, got n = {n}, reps = {reps}")
-    h = require_hermitian(h, name="H")
+    h = _matrix(h, "H")
     adaptive = isinstance(m, (list, tuple))
     if adaptive:
         if setting is None:
             raise ValidationError("per-outcome observables need an explicit setting label")
-        m_list = [require_hermitian(mi, name=f"M[{i}]") for i, mi in enumerate(m)]
+        m_list = [_matrix(mi, f"M[{i}]") for i, mi in enumerate(m)]
     else:
-        m_single = require_hermitian(m, name="M")
+        m_single = _matrix(m, "M")
         if setting is None:
             _, setting = conditional_variance(assemblage, m_single)
     rec = assemblage.setting(setting)

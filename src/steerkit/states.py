@@ -6,7 +6,8 @@ states live in the full 2^N qubit space (the white-noise admixture is not
 symmetric-sector): the noisy one is kept in spectral form, the GHZ vector
 over the floor (1-p)/2^N, and J_z there is its real diagonal, so the largest
 array of a GHZ run is the state vector itself.  Its size is capped at
-``MAX_STATE_BYTES`` (``require_qubits``).
+``MAX_STATE_BYTES`` (``require_qubits``); the dense ``ghz_white_noise``
+matrix, at ``MAX_DENSE_QUBITS``.
 
 Quadrature convention: x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 fixed by the vacuum variance Var[x] = 1/2.  Conventions vary between texts;
@@ -133,6 +134,7 @@ def wigner_rotation_matrix(n_particles: int, phi: float) -> np.ndarray:
 
 MAX_STATE_BYTES = 1 << 27  # 128 MiB for one complex state vector of 2^n amplitudes (16 bytes each)
 MAX_QUBITS = (MAX_STATE_BYTES // 16).bit_length() - 1  # 23, the most qubits whose state vector fits
+MAX_DENSE_QUBITS = 12  # ``ghz_white_noise``'s dense 2^n x 2^n matrix: 256 MiB at 12 qubits
 
 
 def require_qubits(n_qubits: int) -> int:
@@ -189,8 +191,11 @@ def ghz_white_noise_state(n_total: int, phi: float, p: float) -> Spectrum:
 
 
 def ghz_white_noise(n_total: int, phi: float, p: float) -> np.ndarray:
-    """p |GHZ><GHZ| + (1-p) I/2^n as a dense density matrix."""
-    return ghz_white_noise_state(n_total, phi, p).reconstruct()
+    """p |GHZ><GHZ| + (1-p) I/2^n as a dense density matrix, for at most ``MAX_DENSE_QUBITS`` qubits."""
+    n = int(n_total)
+    if n > MAX_DENSE_QUBITS:
+        raise ValidationError(f"dense GHZ mixture capped at MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS} qubits, got {n}")
+    return ghz_white_noise_state(n, phi, p).reconstruct()
 
 
 # ---------------------------------------------------------------------------

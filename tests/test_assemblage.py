@@ -729,11 +729,24 @@ class TestDiagonalGenerators:
             for st, st_ref in zip(rec.states, rec_ref.states):
                 assert np.max(np.abs(st.reconstruct() - st_ref.reconstruct())) < 1e-12
 
-    def test_complex_diagonal_is_rejected(self):
-        with pytest.raises(ValidationError, match="not real"):
-            steering_witness(ghz_assemblage(2), np.array([1.0, 0.5j, 0.0, -1.0]))
-        with pytest.raises(ValidationError, match="non-finite"):
-            steering_witness(ghz_assemblage(2), np.array([1.0, np.nan, 0.0, -1.0]))
+    def test_complex_or_non_finite_diagonal_is_rejected_at_every_entry_point(self):
+        asm, m = ghz_assemblage(2), np.diag(collective_jz(2))
+        entry_points = (
+            steering_witness,
+            lambda a, h: conditional_qfi(a, h),
+            lambda a, h: conditional_variance(a, h),
+            lambda a, h: reid_witness(a, h, m),
+            lambda a, h: reid_witness(a, m, h),
+            lambda a, h: joint_cfi(a, "sz", povm_from_basis(np.eye(4)), h),
+        )
+        for bad, match in (
+            (np.array([1.0, 0.5j, 0.0, -1.0]), "not real"),
+            (np.array([1.0, np.nan, 0.0, -1.0]), "non-finite"),
+            (np.array([np.inf, 0.0, 0.0, -1.0]), "non-finite"),
+        ):
+            for entry in entry_points:
+                with pytest.raises(ValidationError, match=match):
+                    entry(asm, bad)
 
     def test_ghz_witness_holds_nothing_of_size_d_b_squared(self, monkeypatch):
         import tracemalloc

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from steerkit.assemblage import assemblage_from_state
-from steerkit.experiments import bell_assemblage, qubit_basis_povm, split_dicke_assemblage
+from steerkit.experiments import bell_assemblage, ghz_assemblage, qubit_basis_povm, split_dicke_assemblage
 from steerkit.linalg import NumericError, ValidationError, partial_trace, tensor
 from steerkit.metrology import povm_from_basis, variance
 from steerkit.sampling import epr_product_check, moment_estimator_validation, sample_outcomes
-from steerkit.states import spin_ops, split_dicke_fixed, wigner_rotation_matrix
+from steerkit.states import collective_jz, spin_ops, split_dicke_fixed, wigner_rotation_matrix
 
 from conftest import SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian
 
@@ -170,6 +170,38 @@ class TestEPRProduct:
             flags.append(check.epr_flag)
         assert len(flags) >= 10
         assert not any(flags)
+
+
+class TestDiagonalOperators:
+    """H or M given as its real diagonal draws what np.diag of it draws."""
+
+    def test_diagonal_h_or_m_matches_dense(self):
+        asm = plus_state_assemblage()
+        for diag_args, dense_args in (
+            ((np.array([0.5, -0.5]), SY), (SZ / 2, SY)),
+            ((SY / 2, np.array([1.0, -1.0])), (SY / 2, SZ)),
+        ):
+            run = moment_estimator_validation(asm, *diag_args, n=500, reps=20, seed=4)
+            ref = moment_estimator_validation(asm, *dense_args, n=500, reps=20, seed=4)
+            assert np.array_equal(run.estimates, ref.estimates)
+            assert (run.derivative, run.predicted_var, run.setting) == (ref.derivative, ref.predicted_var, ref.setting)
+
+    def test_ghz_with_collective_jz_flags(self):
+        # Bob adapts the sign of X (x) Y to Alice's sigma_x outcome; the sigma_z
+        # setting leaves him a J_z eigenstate, so Var[H_est] = 0
+        asm, xy = ghz_assemblage(2), tensor(SX, SY)
+        check = epr_product_check(asm, collective_jz(2), [xy, -xy], n=10_000, reps=200, seed=3, theta_setting="sx")
+        ref = epr_product_check(asm, np.diag(collective_jz(2)), [xy, -xy], n=10_000, reps=200, seed=3, theta_setting="sx")
+        assert check.var_h_est < 1e-12 and abs(check.run.derivative - 2.0) < 1e-9
+        assert check.epr_flag and np.array_equal(check.run.estimates, ref.run.estimates)
+
+    def test_complex_or_non_finite_diagonal_is_rejected(self):
+        asm = plus_state_assemblage()
+        for bad, match in ((np.array([0.5, 0.5j]), "not real"), (np.array([0.5, np.nan]), "non-finite")):
+            with pytest.raises(ValidationError, match=match):
+                moment_estimator_validation(asm, bad, SY, n=100, reps=5, seed=1)
+            with pytest.raises(ValidationError, match=match):
+                moment_estimator_validation(asm, SZ / 2, bad, n=100, reps=5, seed=1)
 
 
 class TestSamplingErrors:

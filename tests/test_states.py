@@ -192,8 +192,9 @@ class TestGHZWhiteNoise:
         assert np.allclose(sorted(vals)[:-1], [0.0625] * 7, atol=1e-12)
 
     def test_dimension_guard(self):
-        with pytest.raises(ValidationError, match="capped"):
-            ghz_white_noise(24, 0.0, 0.5)
+        with pytest.raises(ValidationError, match="capped at MAX_DENSE_QUBITS"):
+            ghz_white_noise(13, 0.0, 0.5)
+        assert ghz_white_noise_state(13, 0.0, 0.5).dim == 2**13  # the spectral form is not capped there
 
     def test_spectral_form_is_rank_one_over_the_floor(self):
         st = ghz_white_noise_state(3, 0.4, 0.3)
