@@ -1,152 +1,57 @@
-"""steerkit: metrological EPR-steering witnesses from the quantum Fisher information."""
+"""steerkit: metrological EPR-steering witnesses from the quantum Fisher information.
 
-from .assemblage import (
-    Assemblage,
-    LHSModel,
-    SettingRecord,
-    WitnessReport,
-    assemblage_from_lhs,
-    assemblage_from_pure_state,
-    assemblage_from_state,
-    bounds_check,
-    conditional_qfi,
-    conditional_variance,
-    joint_cfi,
-    make_assemblage,
-    mix_assemblages,
-    reid_witness,
-    steering_witness,
-)
-from .linalg import (
-    TOL,
-    NumericError,
-    Spectrum,
-    Tolerances,
-    ValidationError,
-    hermitian_eig,
-    partial_trace,
-    tensor,
-    unitary_from_generator,
-)
-from .metrology import (
-    POVM,
-    as_state,
-    cfi,
-    make_povm,
-    povm_from_basis,
-    qfi,
-    qfi_commutator_bound,
-    qfi_white_noise,
-    var_qfi_gap,
-    variance,
-)
-from .pure import (
-    GeneratorBasis,
-    SchmidtDecomposition,
-    ancilla_invariance_check,
-    gellmann_basis,
-    multi_generator_sum,
-    optimal_assemblage,
-    optimal_povm_qfi,
-    optimal_povm_var,
-    pure_multi_generator_value,
-    qubit_gap_identity,
-    s_avg_pure,
-    s_max_lower_bound,
-    s_max_pure,
-    schmidt,
-)
-from .sampling import SampleRun, epr_product_check, moment_estimator_validation, sample_outcomes
-from .states import (
-    BipartitePureState,
-    FockSpace,
-    SpinOperators,
-    coherent_amplitudes,
-    collective_jz,
-    default_fock_cutoff,
-    fock_space,
-    ghz_state,
-    ghz_white_noise,
-    ghz_white_noise_state,
-    hybrid_cat,
-    spin_ops,
-    split_dicke_beamsplitter,
-    split_dicke_fixed,
-    white_noise_mixture,
-    wigner_overlap,
-    wigner_rotation_matrix,
-)
+The package namespace is lazy (PEP 562): ``import steerkit`` loads no
+submodule, and so no numpy, until an exported name is first used.  This lets
+``steerkit.cli`` choose the BLAS thread default before numpy is imported.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assemblage",
-    "BipartitePureState",
-    "FockSpace",
-    "GeneratorBasis",
-    "LHSModel",
-    "NumericError",
-    "POVM",
-    "SampleRun",
-    "SchmidtDecomposition",
-    "SettingRecord",
-    "Spectrum",
-    "SpinOperators",
-    "TOL",
-    "Tolerances",
-    "ValidationError",
-    "WitnessReport",
-    "ancilla_invariance_check",
-    "as_state",
-    "assemblage_from_lhs",
-    "assemblage_from_pure_state",
-    "assemblage_from_state",
-    "bounds_check",
-    "cfi",
-    "coherent_amplitudes",
-    "collective_jz",
-    "conditional_qfi",
-    "conditional_variance",
-    "default_fock_cutoff",
-    "epr_product_check",
-    "fock_space",
-    "gellmann_basis",
-    "ghz_state",
-    "ghz_white_noise",
-    "ghz_white_noise_state",
-    "hermitian_eig",
-    "hybrid_cat",
-    "joint_cfi",
-    "make_assemblage",
-    "make_povm",
-    "mix_assemblages",
-    "moment_estimator_validation",
-    "multi_generator_sum",
-    "optimal_assemblage",
-    "optimal_povm_qfi",
-    "optimal_povm_var",
-    "partial_trace",
-    "povm_from_basis",
-    "pure_multi_generator_value",
-    "qfi",
-    "qfi_commutator_bound",
-    "qfi_white_noise",
-    "qubit_gap_identity",
-    "reid_witness",
-    "s_avg_pure",
-    "s_max_lower_bound",
-    "s_max_pure",
-    "sample_outcomes",
-    "schmidt",
-    "spin_ops",
-    "split_dicke_beamsplitter",
-    "split_dicke_fixed",
-    "steering_witness",
-    "tensor",
-    "unitary_from_generator",
-    "var_qfi_gap",
-    "variance",
-    "white_noise_mixture",
-    "wigner_overlap",
-    "wigner_rotation_matrix",
-]
+# submodule -> the names it exports at the package level
+_EXPORTS = {
+    "assemblage": (
+        "Assemblage", "LHSModel", "SettingRecord", "WitnessReport", "assemblage_from_lhs",
+        "assemblage_from_pure_state", "assemblage_from_state", "bounds_check", "conditional_qfi",
+        "conditional_variance", "joint_cfi", "make_assemblage", "mix_assemblages", "reid_witness",
+        "steering_witness",
+    ),
+    "linalg": (
+        "TOL", "NumericError", "Spectrum", "Tolerances", "ValidationError", "hermitian_eig",
+        "partial_trace", "tensor", "unitary_from_generator",
+    ),
+    "metrology": (
+        "POVM", "as_state", "cfi", "make_povm", "povm_from_basis", "qfi", "qfi_commutator_bound",
+        "qfi_white_noise", "var_qfi_gap", "variance",
+    ),
+    "pure": (
+        "GeneratorBasis", "SchmidtDecomposition", "ancilla_invariance_check", "gellmann_basis",
+        "multi_generator_sum", "optimal_assemblage", "optimal_povm_qfi", "optimal_povm_var",
+        "pure_multi_generator_value", "qubit_gap_identity", "s_avg_pure", "s_max_lower_bound",
+        "s_max_pure", "schmidt",
+    ),
+    "sampling": ("SampleRun", "epr_product_check", "moment_estimator_validation", "sample_outcomes"),
+    "states": (
+        "BipartitePureState", "FockSpace", "SpinOperators", "coherent_amplitudes", "collective_jz",
+        "default_fock_cutoff", "fock_space", "ghz_state", "ghz_white_noise", "ghz_white_noise_state",
+        "hybrid_cat", "spin_ops", "split_dicke_beamsplitter", "split_dicke_fixed",
+        "white_noise_mixture", "wigner_overlap", "wigner_rotation_matrix",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,16 +5,28 @@ limit included), 3 numeric failure or running out of memory.
 Ranges use the inclusive ``start:stop:step`` syntax (endpoints kept within
 half a step); CSV output uses '.' decimals, ',' separators and 15
 significant digits.
+
+BLAS threads: the paper's matrices are at most a few hundred wide, where a
+second BLAS thread only spins, so the command line runs with one BLAS/OpenMP
+thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` is set.  The default only takes effect before numpy is
+loaded, so it is left alone if numpy was imported first.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+
+# Everything below loads numpy, so it comes after the thread default.
+import numpy as np  # noqa: E402
 
 from . import serialize
 from .assemblage import Assemblage, assemblage_from_pure_state, steering_witness

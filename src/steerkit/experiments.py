@@ -8,7 +8,8 @@ table (all ks at once, one pass per N_A sector) and the ``quantify`` simplex
 
 Every size a table takes is checked against its limit before any row is
 computed: GHZ qubits against ``states.MAX_STATE_BYTES``, and
-``MAX_QUANTIFY_POINTS``, ``MAX_MULTIGEN_D`` and ``MAX_PARTITION_N`` below.
+``MAX_QUANTIFY_POINTS``, ``MAX_MULTIGEN_D``, ``MAX_SPLIT_DICKE_N`` and
+``MAX_PARTITION_N`` below.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .states import (
 
 MAX_QUANTIFY_POINTS = 1_000_000  # d = 3 simplex grid points: step 0.001 (501,501 points) fits
 MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
+MAX_SPLIT_DICKE_N = 2000  # about 4.4 s and 180 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
 MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
 
 
@@ -201,11 +203,12 @@ def ghz_noise_rows(n_values, p_values, phi: float = 0.0):
 def split_dicke_rows(n: int, k: int):
     """Per-outcome sensitivity table for the deterministically split Dicke state."""
     n, k = int(n), int(k)
+    _check_limit(n, MAX_SPLIT_DICKE_N, "split-dicke n", "MAX_SPLIT_DICKE_N")
     if n % 2:
         raise ValidationError("the split-Dicke table assumes an even split; n must be even")
     n_a = n_b = n // 2
     asm = split_dicke_assemblage(k, n_a, n_b)
-    jz_b = spin_ops(n_b).jz
+    jz_b = spin_ops(n_b).jz.diagonal().real
     twin = k * 2 == n
     rec = asm.setting("Jx")
     header = ["kind", "k_a", "p", "p_ref", "fq_cond", "fq_cond_ref"]

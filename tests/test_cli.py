@@ -42,6 +42,7 @@ INVALID_COMMANDS = {
     "quantify_over_point_limit": ["quantify", "--step", "0.0005"],
     "quantify_step_with_infinite_grid": ["quantify", "--step", "1e-320"],
     "multigen_over_d_limit": ["multigen", "--d", "2:17"],
+    "split-dicke_over_n_limit": ["split-dicke", "--n", "200000"],
     "split-dicke-partition_over_n_limit": ["split-dicke-partition", "--n", "401"],
 }
 OVER_LIMIT = {
@@ -50,6 +51,7 @@ OVER_LIMIT = {
     "quantify_over_point_limit": "MAX_QUANTIFY_POINTS",
     "quantify_step_with_infinite_grid": "MAX_QUANTIFY_POINTS",
     "multigen_over_d_limit": "MAX_MULTIGEN_D",
+    "split-dicke_over_n_limit": "MAX_SPLIT_DICKE_N",
     "split-dicke-partition_over_n_limit": "MAX_PARTITION_N",
 }
 

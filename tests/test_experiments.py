@@ -15,6 +15,7 @@ from steerkit.experiments import (
     ghz_rows,
     multigen_rows,
     quantify_rows,
+    split_dicke_assemblage,
     split_dicke_partition_quantities,
     split_dicke_partition_rows,
     split_dicke_rows,
@@ -55,7 +56,8 @@ def partition_generic_assemblage(n, k, p):
 
 
 class TestPartitionBlocks:
-    @pytest.mark.parametrize("n,k,p", [(4, 2, 0.5), (6, 3, 0.3), (6, 2, 0.5), (8, 4, 0.5)])
+    # n = 40 (d = 861 per side) is the largest whose dense generic route takes a few seconds
+    @pytest.mark.parametrize("n,k,p", [(4, 2, 0.5), (6, 3, 0.3), (6, 2, 0.5), (8, 4, 0.5), (30, 10, 0.3), (40, 20, 0.5)])
     def test_block_evaluation_matches_generic(self, n, k, p):
         q = split_dicke_partition_quantities(n, k, p)
         asm, jz = partition_generic_assemblage(n, k, p)
@@ -149,6 +151,17 @@ class TestRowTables:
         summary = {r[0]: r for r in rows if str(r[0]).startswith("summary")}
         assert abs(summary["summary:cond_qfi"][4] - n * (n + 4) / 12.0) < 1e-9
 
+    def test_split_dicke_rows_diagonal_jz_matches_dense(self):
+        # the table passes J_z as its real diagonal; each outcome's QFI is the dense matrix's
+        header, rows = split_dicke_rows(200, 100)
+        outcome_rows = [r for r in rows if r[0] == "outcome"]
+        states = split_dicke_assemblage(100, 100, 100).setting("Jx").states
+        jz = spin_ops(100).jz
+        assert jz.ndim == 2 and len(outcome_rows) == len(states) == 101
+        for row, st in zip(outcome_rows, states):
+            dense = qfi(st, jz)
+            assert abs(row[4] - dense) <= 1e-12 * max(abs(dense), 1.0)
+
     def test_split_dicke_rows_general_k_has_blank_refs(self):
         header, rows = split_dicke_rows(8, 3)
         outcome_rows = [r for r in rows if r[0] == "outcome"]
@@ -239,13 +252,18 @@ class TestSizeLimits:
             (lambda: ghz_noise_rows([2, 30], [0.5]), "MAX_STATE_BYTES"),
             (lambda: quantify_rows(step=0.0005), "MAX_QUANTIFY_POINTS"),
             (lambda: multigen_rows([2, 17]), "MAX_MULTIGEN_D"),
+            (lambda: split_dicke_rows(200_000, 100_000), "MAX_SPLIT_DICKE_N"),
             (lambda: split_dicke_partition_rows(401, 0.5, [0]), "MAX_PARTITION_N"),
         ],
     )
     def test_over_limit_is_rejected_up_front(self, monkeypatch, call, limit):
         import steerkit.experiments as module
 
-        monkeypatch.setattr(module, "parallel_map", lambda fn, items: pytest.fail("rows computed before the check"))
+        def computed(*args):
+            pytest.fail("rows computed before the check")
+
+        monkeypatch.setattr(module, "parallel_map", computed)
+        monkeypatch.setattr(module, "split_dicke_assemblage", computed)
         with pytest.raises(ValidationError, match=limit):
             call()
 
