@@ -1,10 +1,20 @@
 """Command-line reproduction of the worked examples as CSV/JSON tables.
 
 Exit codes: 0 success, 2 validation/schema error (a size over its documented
-limit included), 3 numeric failure or running out of memory.
+limit, a malformed or non-finite number included), 3 numeric failure or
+running out of memory.
 Ranges use the inclusive ``start:stop:step`` syntax (endpoints kept within
-half a step); CSV output uses '.' decimals, ',' separators and 15
-significant digits.
+half a step) and hold at most ``MAX_RANGE_POINTS`` points; range bounds and
+every numeric option must be finite.  CSV output uses '.' decimals, ','
+separators and 15 significant digits.
+
+Start-up: this module loads only the standard library and builds the parser.
+``main`` imports numpy and the error classes once argparse has accepted the
+command line, so ``--help`` and usage errors (exit 2) return without loading
+numpy, and each ``_cmd_*`` imports the steerkit modules it calls (``witness``
+loads neither ``experiments`` nor ``sampling``).  A program that has imported
+numpy already gains nothing from the deferral and gets every submodule loaded
+with this one.
 
 BLAS threads: the paper's matrices are at most a few hundred wide, where a
 second BLAS thread only spins, so the command line runs with one BLAS/OpenMP
@@ -17,50 +27,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+if "numpy" in sys.modules:
+    # Nothing left to defer; perfbench/spans.py reads every submodule right after importing this one.
+    from . import experiments, sampling, serialize  # noqa: F401
+elif not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
 
-# Everything below loads numpy, so it comes after the thread default.
-import numpy as np  # noqa: E402
+if TYPE_CHECKING:
+    from .assemblage import Assemblage
+    from .states import BipartitePureState
 
-from . import serialize
-from .assemblage import Assemblage, assemblage_from_pure_state, steering_witness
-from .linalg import NumericError, ValidationError, require_hermitian
-from .pure import (
-    optimal_povm_qfi,
-    optimal_povm_var,
-    s_avg_pure,
-    s_max_lower_bound,
-    s_max_pure,
-    schmidt,
-)
-from .experiments import (
-    cat_rows,
-    estimate_run,
-    ghz_noise_rows,
-    ghz_rows,
-    multigen_rows,
-    quantify_rows,
-    split_dicke_partition_rows,
-    split_dicke_rows,
-)
-from .serialize import SchemaError
-from .states import BipartitePureState
+MAX_RANGE_POINTS = 100_000  # points in one range, checked before its list is built
 
 
 def format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):  # most cells, so tested first
+    if isinstance(value, float):  # most cells (np.float64 is a float), so tested first
         return f"{float(value):.15g}"
     if value is None or value == "":
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if hasattr(value, "item"):  # the other numpy scalars (np.bool_, np.int64, np.float32), as Python ones
+        return format_cell(value.item())
+    if isinstance(value, int):  # bool included: True -> "1"
         return str(int(value))
     return str(value)
 
@@ -88,27 +82,55 @@ def write_json_table(header, rows, out) -> None:
     write_json_doc(doc, out)
 
 
+def _invalid(message: str) -> Exception:
+    from .linalg import ValidationError
+
+    return ValidationError(message)
+
+
+def _number(part: str, kind, text: str):
+    """One finite number, ``text`` itself or a part of the range ``text``."""
+    where = "" if part == text else f" in {text!r}"
+    try:
+        value = kind(part)
+    except ValueError:
+        raise _invalid(f"cannot parse {part!r}{where} as {'an integer' if kind is int else 'a number'}") from None
+    if not math.isfinite(value):
+        raise _invalid(f"{part!r}{where} is not finite")
+    return value
+
+
 def parse_range(text: str, kind=float):
-    """Inclusive start:stop:step range (or a single value)."""
+    """Inclusive start:stop:step range (or a single value) of at most ``MAX_RANGE_POINTS`` points."""
     parts = str(text).split(":")
     if len(parts) == 1:
-        return [kind(parts[0])]
-    if len(parts) == 2:
-        start, stop, step = float(parts[0]), float(parts[1]), 1.0
-    elif len(parts) == 3:
-        start, stop, step = float(parts[0]), float(parts[1]), float(parts[2])
-    else:
-        raise ValidationError(f"cannot parse range {text!r}; expected start:stop:step")
+        return [_number(parts[0], kind, text)]
+    if len(parts) > 3:
+        raise _invalid(f"cannot parse range {text!r}; expected start:stop:step")
+    start, stop, *step = (_number(part, float, text) for part in parts)
+    step = step[0] if step else 1.0
     if step <= 0:
-        raise ValidationError(f"range step must be positive in {text!r}")
+        raise _invalid(f"range step must be positive in {text!r}")
+    points = (stop - start) / step + 1.0  # the range holds floor(points + 0.5) points
+    if points >= MAX_RANGE_POINTS + 0.5:
+        raise _invalid(f"range {text!r} has {points:.6g} points, over the limit MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
     values = []
     x = start
     while x <= stop + step / 2.0:
         values.append(kind(round(x, 12)) if kind is float else kind(round(x)))
+        if x + step == x:  # the loop would never end
+            raise _invalid(f"range step in {text!r} is too small to move past {x:g}")
         x += step
     if not values:
-        raise ValidationError(f"range {text!r} is empty")
+        raise _invalid(f"range {text!r} is empty")
     return values
+
+
+def _single(text: str, option: str, command: str) -> int:
+    values = parse_range(text, int)
+    if len(values) != 1:
+        raise _invalid(f"{command} takes a single {option}")
+    return values[0]
 
 
 def _emit(args, header, rows) -> None:
@@ -119,32 +141,35 @@ def _emit(args, header, rows) -> None:
 
 
 def _cmd_ghz(args):
+    from .experiments import ghz_rows
+
     header, rows = ghz_rows(parse_range(args.n, int), phi=args.phi)
     _emit(args, header, rows)
 
 
 def _cmd_ghz_noise(args):
+    from .experiments import ghz_noise_rows
+
     noise = args.noise if args.noise is not None else args.p
     if noise is None:
-        raise ValidationError("ghz-noise needs --noise (or --p) with the mixing probability")
+        raise _invalid("ghz-noise needs --noise (or --p) with the mixing probability")
     header, rows = ghz_noise_rows(parse_range(args.n, int), parse_range(noise), phi=args.phi)
     _emit(args, header, rows)
 
 
 def _cmd_split_dicke(args):
-    values_n = parse_range(args.n, int)
-    if len(values_n) != 1:
-        raise ValidationError("split-dicke takes a single --n")
-    k = int(parse_range(args.k, int)[0]) if args.k is not None else values_n[0] // 2
-    header, rows = split_dicke_rows(values_n[0], k)
+    from .experiments import split_dicke_rows
+
+    n = _single(args.n, "--n", "split-dicke")
+    k = _single(args.k, "--k", "split-dicke") if args.k is not None else n // 2
+    header, rows = split_dicke_rows(n, k)
     _emit(args, header, rows)
 
 
 def _cmd_split_dicke_partition(args):
-    values_n = parse_range(args.n, int)
-    if len(values_n) != 1:
-        raise ValidationError("split-dicke-partition takes a single --n")
-    n = values_n[0]
+    from .experiments import split_dicke_partition_rows
+
+    n = _single(args.n, "--n", "split-dicke-partition")
     ks = parse_range(args.k, int) if args.k is not None else list(range(0, n + 1))
     p = args.p if args.p is not None else 0.5
     header, rows = split_dicke_partition_rows(n, p, ks)
@@ -152,24 +177,34 @@ def _cmd_split_dicke_partition(args):
 
 
 def _cmd_cat(args):
+    from .experiments import cat_rows
+
     header, rows = cat_rows(parse_range(args.alpha))
     _emit(args, header, rows)
 
 
 def _cmd_quantify(args):
+    from .experiments import quantify_rows
+
     header, rows = quantify_rows(step=args.step)
     _emit(args, header, rows)
 
 
 def _cmd_multigen(args):
+    from .experiments import multigen_rows
+
     header, rows = multigen_rows(parse_range(args.d, int))
     _emit(args, header, rows)
 
 
 def _cmd_estimate(args):
+    from .experiments import estimate_run
+
     check = estimate_run(theta=args.theta, shots=args.shots, reps=args.reps, seed=args.seed)
     if args.format == "json":
-        doc = serialize.sample_run_to_json(check.run)
+        from .serialize import sample_run_to_json
+
+        doc = sample_run_to_json(check.run)
         doc.update(
             {
                 "product": check.product,
@@ -193,6 +228,8 @@ def _cmd_estimate(args):
 
 def _witness_input(path: str) -> Assemblage | BipartitePureState:
     """Parse the witness input once and dispatch on its 'type'."""
+    from . import serialize
+
     doc = serialize.load_document(path)
     kind = doc.get("type")
     if kind == "assemblage":
@@ -200,16 +237,21 @@ def _witness_input(path: str) -> Assemblage | BipartitePureState:
     if kind == "bipartite_pure_state":
         return serialize.state_from_json(doc)
     if kind == "density_matrix":
-        raise ValidationError(
+        raise _invalid(
             "witness needs a bipartite pure state or an assemblage; a bare density "
             "matrix does not determine Alice's settings"
         )
-    raise SchemaError(f"$.type: expected 'assemblage' or 'bipartite_pure_state', got {kind!r}")
+    raise serialize.SchemaError(f"$.type: expected 'assemblage' or 'bipartite_pure_state', got {kind!r}")
 
 
 def _cmd_witness(args):
+    from .assemblage import Assemblage, assemblage_from_pure_state, steering_witness
+    from .linalg import require_hermitian
+    from .pure import optimal_povm_qfi, optimal_povm_var, s_avg_pure, s_max_lower_bound, s_max_pure, schmidt
+    from .serialize import load_observable, witness_report_to_json
+
     loaded = _witness_input(args.input)
-    observable = require_hermitian(serialize.load_observable(args.observable), name="observable")
+    observable = require_hermitian(load_observable(args.observable), name="observable")
     if isinstance(loaded, Assemblage):
         asm = loaded
         quantifiers = {}
@@ -226,7 +268,7 @@ def _cmd_witness(args):
         spectrum = schmidt(loaded).coefficients
         quantifiers = {"s_max_pure": s_max_pure(spectrum), "s_avg_pure": s_avg_pure(spectrum)}
     report = steering_witness(asm, observable)
-    doc = serialize.witness_report_to_json(report)
+    doc = witness_report_to_json(report)
     doc.update(quantifiers)
     if args.format == "json":
         write_json_doc(doc, args.out)
@@ -314,7 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The command line is accepted: only now load numpy and the package.
+    import numpy as np
+
+    from .linalg import NumericError, SchemaError, ValidationError
+
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"--{name} must be finite, got {value}")
         args.func(args)
     except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

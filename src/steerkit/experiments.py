@@ -30,7 +30,6 @@ from .assemblage import (
 from .linalg import TOL, NumericError, ValidationError
 from .metrology import POVM, povm_from_basis, qfi
 from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure
-from .sampling import epr_product_check
 from .states import (
     BipartitePureState,
     dicke_bounds,
@@ -430,6 +429,8 @@ def estimate_run(theta: float = 0.01, shots: int = 10_000, reps: int = 200, seed
     phase response; he flips the sign of sigma_y with Alice's sigma_x
     outcome, which restores unit response on each steered branch.
     """
+    from .sampling import epr_product_check  # only this command samples
+
     asm = bell_assemblage()
     paulis = [g * math.sqrt(2.0) for g in gellmann_basis(2).generators]
     h = paulis[2] / 2.0

@@ -24,6 +24,10 @@ class ValidationError(ValueError):
     """An input violates a structural invariant (dimension, Hermiticity, ...)."""
 
 
+class SchemaError(ValueError):
+    """A JSON document does not match the expected layout (see ``serialize``)."""
+
+
 class NumericError(RuntimeError):
     """A numerical routine failed or the requested quantity is undefined."""
 

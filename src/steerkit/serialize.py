@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assemblage import Assemblage, SettingRecord, WitnessReport, make_assemblage
-from .linalg import ValidationError, require_density_matrix
-from .sampling import SampleRun
+from .linalg import SchemaError, ValidationError, require_density_matrix
 from .states import BipartitePureState
 
-
-class SchemaError(ValueError):
-    """The document does not match the expected JSON layout."""
+if TYPE_CHECKING:  # an annotation only: ``witness`` loads this module but not sampling
+    from .sampling import SampleRun
 
 
 def _fail(path: str, message: str):

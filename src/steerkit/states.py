@@ -143,7 +143,7 @@ def require_qubits(n_qubits: int) -> int:
     if n > MAX_QUBITS:
         raise ValidationError(
             f"state vector capped at MAX_STATE_BYTES = {MAX_STATE_BYTES} bytes ({MAX_QUBITS} qubits); "
-            f"{n} qubits need {16 << n}"
+            f"{n} qubits need 16 * 2^{n} bytes"
         )
     return n
 

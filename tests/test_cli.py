@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steerkit.cli import main, parse_range
+from steerkit.cli import MAX_RANGE_POINTS, main, parse_range
 from steerkit.linalg import ValidationError
 from steerkit.serialize import save_json, state_to_json
 from steerkit.states import ghz_state
@@ -36,6 +36,15 @@ INVALID_COMMANDS = {
     "quantify_negative_step": ["quantify", "--step", "-0.1"],
     "quantify_step_not_dividing_1": ["quantify", "--step", "0.6"],
     "witness_unknown_type": ["witness", "{tmp}/foo.json", "--observable", "{tmp}/obs.json"],
+    # malformed and non-finite numbers
+    "ghz_n_not_an_integer": ["ghz", "--n", "2.5"],
+    "ghz_n_not_a_number": ["ghz", "--n", "abc"],
+    "ghz_range_stop_not_a_number": ["ghz", "--n", "1:x"],
+    "multigen_infinite_range_stop": ["multigen", "--d", "2:inf"],
+    "cat_nan_alpha": ["cat", "--alpha", "nan"],
+    "ghz_nan_phi": ["ghz", "--n", "2", "--phi", "nan"],
+    "estimate_infinite_theta": ["estimate", "--theta", "inf"],
+    "split-dicke_k_range": ["split-dicke", "--n", "10", "--k", "1:3"],
     # sizes over their documented limits (``TestExitCodes.test_over_limit_names_the_limit``)
     "ghz_over_qubit_limit": ["ghz", "--n", "1:23"],
     "ghz-noise_over_qubit_limit": ["ghz-noise", "--n", "23", "--noise", "0.2"],
@@ -44,6 +53,9 @@ INVALID_COMMANDS = {
     "multigen_over_d_limit": ["multigen", "--d", "2:17"],
     "split-dicke_over_n_limit": ["split-dicke", "--n", "200000"],
     "split-dicke-partition_over_n_limit": ["split-dicke-partition", "--n", "401"],
+    "ghz_far_over_qubit_limit": ["ghz", "--n", "100000"],
+    "cat_over_range_point_limit": ["cat", "--alpha", "0:2:1e-12"],
+    "multigen_over_range_point_limit": ["multigen", "--d", "2:1e300"],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -53,13 +65,25 @@ OVER_LIMIT = {
     "multigen_over_d_limit": "MAX_MULTIGEN_D",
     "split-dicke_over_n_limit": "MAX_SPLIT_DICKE_N",
     "split-dicke-partition_over_n_limit": "MAX_PARTITION_N",
+    "ghz_far_over_qubit_limit": "MAX_STATE_BYTES",
+    "cat_over_range_point_limit": "MAX_RANGE_POINTS",
+    "multigen_over_range_point_limit": "MAX_RANGE_POINTS",
 }
 
 
 @pytest.fixture
 def witness_files(tmp_path):
-    """tmp_path holding foo.json, a witness input of unknown "type", and obs.json, an observable."""
+    """tmp_path holding witness inputs and an observable (obs.json, sigma_z).
+
+    foo.json is of unknown "type"; bell.json is a Bell state and asm.json its
+    sz/sx assemblage.
+    """
+    from steerkit.experiments import ghz_assemblage
+    from steerkit.serialize import assemblage_to_json
+
     (tmp_path / "foo.json").write_text('{"type": "foo"}', encoding="utf-8")
+    save_json(state_to_json(ghz_state(2)), tmp_path / "bell.json")
+    save_json(assemblage_to_json(ghz_assemblage(1)), tmp_path / "asm.json")
     save_json({"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, tmp_path / "obs.json")
     return tmp_path
 
@@ -82,6 +106,33 @@ class TestParseRange:
             parse_range("1:2:3:4")
         with pytest.raises(ValidationError):
             parse_range("1:2:-1")
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            ("2.5", int, "cannot parse '2.5' as an integer"),
+            ("abc", float, "cannot parse 'abc' as a number"),
+            ("1:x", int, "cannot parse 'x' in '1:x' as a number"),
+            ("nan", float, "'nan' is not finite"),
+            ("2:inf", int, "'inf' in '2:inf' is not finite"),
+            ("0:1:nan", float, "'nan' in '0:1:nan' is not finite"),
+        ],
+    )
+    def test_malformed_or_non_finite_number(self, text, kind, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_range(text, kind)
+
+    def test_point_limit_is_checked_before_the_list_is_built(self):
+        top = MAX_RANGE_POINTS - 1
+        assert len(parse_range(f"0:{top}", int)) == MAX_RANGE_POINTS
+        with pytest.raises(ValidationError, match="MAX_RANGE_POINTS"):
+            parse_range(f"0:{top + 1}", int)
+        with pytest.raises(ValidationError, match="over the limit MAX_RANGE_POINTS"):
+            parse_range("0:1e308:1e-308")  # (stop - start) / step overflows to inf
+
+    def test_step_too_small_to_move_is_rejected(self):
+        with pytest.raises(ValidationError, match="too small"):
+            parse_range("1e20:1e20")
 
 
 class TestExitCodes:
@@ -300,6 +351,46 @@ class TestConsoleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# One small run of every command.  Run through ``python -m steerkit.cli``, each
+# loads only what its handler imports; an in-process run cannot show a missing
+# import, as this test module has loaded numpy and with it every submodule.
+# "{tmp}" is the ``witness_files`` directory.
+EVERY_COMMAND = {
+    "ghz": ["ghz", "--n", "1:3"],
+    "ghz-noise": ["ghz-noise", "--n", "2", "--noise", "0.2:0.4:0.2"],
+    "split-dicke": ["split-dicke", "--n", "6", "--k", "3"],
+    "split-dicke-partition": ["split-dicke-partition", "--n", "4", "--k", "0:4"],
+    "cat": ["cat", "--alpha", "0:1:0.5"],
+    "quantify": ["quantify", "--step", "0.25"],
+    "multigen": ["multigen", "--d", "2:3"],
+    "estimate": ["estimate", "--shots", "200", "--reps", "5", "--seed", "3"],
+    "estimate_json": ["estimate", "--shots", "200", "--reps", "5", "--seed", "3", "--format", "json"],
+    "witness_pure_state": ["witness", "{tmp}/bell.json", "--observable", "{tmp}/obs.json"],
+    "witness_assemblage": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs.json", "--quantify", "--format", "json"],
+}
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("name", sorted(EVERY_COMMAND))
+    def test_same_bytes_as_in_process(self, name, witness_files):
+        argv = [a.format(tmp=witness_files) for a in EVERY_COMMAND[name]]
+        in_process, fresh = witness_files / "in_process.out", witness_files / "fresh.out"
+        assert run_cli(argv + ["--out", str(in_process)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "steerkit.cli", *argv, "--out", str(fresh)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert fresh.read_bytes() == in_process.read_bytes()
+
+    def test_unbounded_range_returns_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "steerkit.cli", "multigen", "--d", "2:inf", "--out", "-"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "'inf' in '2:inf' is not finite" in proc.stderr
 
 
 class TestFlagAliases:
