@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "TOL", "NumericError", "Spectrum", "Tolerances", "ValidationError", "hermitian_eig",
-        "partial_trace", "tensor", "unitary_from_generator",
+        "unitary_from_generator",
     ),
     "metrology": (
         "POVM", "as_state", "cfi", "make_povm", "povm_from_basis", "qfi", "qfi_commutator_bound",

@@ -35,11 +35,27 @@ from .linalg import (
     factor_spectrum,
     max_abs_by_rows,
     qr_r_by_rows,
-    require_density_matrix,
     require_hermitian,
 )
 from .metrology import POVM, as_state, cfi, expectation, qfi, variance
 from .states import BipartitePureState
+
+
+def _stacked(weights, states, rows: slice = slice(None)) -> tuple[np.ndarray, float]:
+    """(F, mu) with F F^dag + mu I = sum_j w_j rho_j, or (F[rows], mu), for weights w_j and spectra rho_j.
+
+    F stacks the columns sqrt(w_j (lam_i - mu_j)) v_i and mu = sum_j w_j mu_j.
+    A weight just below 0 (a probability ``make_assemblage`` let through) counts as 0.
+    """
+    weights = np.maximum(weights, 0.0)
+    v = np.concatenate([st.eigenvectors[rows] for st in states], axis=1)
+    w = np.concatenate([p * (st.eigenvalues - st.floor) for p, st in zip(weights, states)])
+    return v * np.sqrt(w), float(weights @ [st.floor for st in states])
+
+
+def _block(g: np.ndarray, mu: float) -> tuple[float, Spectrum]:
+    """(p, spectrum) of the sub-normalized block G G^dag + mu I, with p = ||G||_F^2 + mu d_B its trace."""
+    return float(np.vdot(g, g).real) + mu * len(g), factor_spectrum(g, mu)
 
 
 @dataclass(frozen=True)
@@ -61,16 +77,8 @@ class SettingRecord:
         return len(self.states)
 
     def factor(self, rows: slice = slice(None)) -> tuple[np.ndarray, float]:
-        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a, or (F[rows], mu).
-
-        F stacks the columns sqrt(p_a (lam_i - mu_a)) v_i of every outcome and
-        mu = sum_a p_a mu_a.  A probability that ``make_assemblage`` let
-        through just below 0 counts as 0.
-        """
-        probs = np.maximum(self.probabilities, 0.0)
-        v = np.concatenate([st.eigenvectors[rows] for st in self.states], axis=1)
-        w = np.concatenate([p * (st.eigenvalues - st.floor) for p, st in zip(probs, self.states)])
-        return v * np.sqrt(w), float(probs @ [st.floor for st in self.states])
+        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a, or (F[rows], mu) (``_stacked``)."""
+        return _stacked(self.probabilities, self.states, rows)
 
 
 @dataclass(frozen=True)
@@ -171,18 +179,13 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
     return out
 
 
-def _traced(blocks):
-    """(p, block) pairs of sub-normalized matrices p rho, with p = tr(block)."""
-    return ((float(np.trace(block).real), block) for block in blocks)
-
-
 def _setting(label, outcome_labels, weighted) -> SettingRecord:
     """Condition on each outcome of one setting, keeping the survivors' labels.
 
     ``weighted`` holds (p(a), block) per outcome, the block being an amplitude
-    row sqrt(p) psi_a, a sub-normalized matrix p rho_a or its ``Spectrum``.
-    Outcomes with p below ``TOL.prob_floor`` are dropped; the others keep
-    their own label.  A matrix or spectrum is checked at block scale by
+    row sqrt(p) psi_a or the ``Spectrum`` of the sub-normalized p rho_a
+    (``_block``).  Outcomes with p below ``TOL.prob_floor`` are dropped; the
+    others keep their own label.  A spectrum is checked at block scale by
     ``as_state``; a row is only normalised, for ``make_assemblage`` checks
     every state again.
     """
@@ -217,8 +220,7 @@ def _conditioned(rows, f: np.ndarray, d_b: int, floor: float):
         return float(np.vdot(g, g).real), g[0]
     # one (d_B, r) block per column of K, side by side
     g = np.moveaxis(g.reshape(len(g), d_b, f.shape[1] // d_b), 0, 1).reshape(d_b, -1)
-    mu = floor * float(np.vdot(rows, rows).real)
-    return float(np.vdot(g, g).real) + mu * d_b, factor_spectrum(g, mu)
+    return _block(g, floor * float(np.vdot(rows, rows).real))
 
 
 def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage:
@@ -264,16 +266,21 @@ class LHSModel:
 
 
 def assemblage_from_lhs(model: LHSModel) -> Assemblage:
-    """A(a, X) = sum_lambda p(a|X,lambda) p(lambda) sigma_lambda; outcome a is labelled "a"."""
+    """A(a, X) = sum_lambda p(a|X,lambda) p(lambda) sigma_lambda; outcome a is labelled "a".
+
+    Each sigma_lambda goes through ``as_state``; each outcome's block is the ``_stacked`` factor of the weighted spectra.
+    """
     w = np.asarray(model.weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must be a nonempty vector")
     if float(w.min()) < 0 or abs(float(w.sum()) - 1.0) > TOL.weight_sum:
         raise ValidationError(f"weights must form a distribution, sum = {w.sum():.15f}")
-    sigmas = [require_density_matrix(s, name=f"local state {i}") for i, s in enumerate(model.local_states)]
+    sigmas = [as_state(s, name=f"local state {i}") for i, s in enumerate(model.local_states)]
     if len(sigmas) != w.size:
         raise ValidationError("weights and local states differ in length")
-    d_b = sigmas[0].shape[0]
+    d_b = sigmas[0].dim
+    if any(st.dim != d_b for st in sigmas):
+        raise ValidationError(f"local states differ in dimension: {[st.dim for st in sigmas]}")
     recs = []
     for label, resp in model.responses.items():
         r = np.asarray(resp, dtype=float)
@@ -284,8 +291,8 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
         col_dev = float(np.max(np.abs(r.sum(axis=0) - 1.0)))
         if col_dev > TOL.weight_sum:
             raise ValidationError(f"response columns for {label!r} sum to 1 +/- {col_dev:.3e}")
-        blocks = (sum(r[a, lam] * w[lam] * sigmas[lam] for lam in range(w.size)) for a in range(r.shape[0]))
-        recs.append(_setting(label, [str(a) for a in range(r.shape[0])], _traced(blocks)))
+        weighted = (_block(*_stacked(r[a] * w, sigmas)) for a in range(r.shape[0]))
+        recs.append(_setting(label, [str(a) for a in range(r.shape[0])], weighted))
     if not recs:
         raise ValidationError("LHS model defines no settings")
     return make_assemblage(recs, d_b)
@@ -417,7 +424,7 @@ def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Ass
 
     Each setting's outcomes are matched by label, taken in order of first
     appearance; an outcome present in only one assemblage enters with
-    probability 0 from the other.
+    probability 0 from the other.  Each mixed block is the ``_stacked`` factor of the spectra it sums.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValidationError(f"weight must be in [0, 1], got {weight}")
@@ -425,9 +432,10 @@ def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Ass
         raise ValidationError("assemblages must share Bob dimension and setting labels")
     recs = []
     for rec1, rec2 in zip(first.settings, second.settings):
-        blocks: dict[str, np.ndarray] = {}
+        terms: dict[str, list] = {}  # label -> (t p, spectrum) pairs
         for t, rec in ((weight, rec1), (1.0 - weight, rec2)):
             for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states):
-                blocks[lab] = blocks.get(lab, 0.0) + t * p * st.reconstruct()
-        recs.append(_setting(rec1.label, blocks.keys(), _traced(blocks.values())))
+                terms.setdefault(lab, []).append((t * p, st))
+        weighted = (_block(*_stacked(*zip(*pairs))) for pairs in terms.values())
+        recs.append(_setting(rec1.label, terms.keys(), weighted))
     return make_assemblage(recs, first.d_b)

@@ -8,8 +8,8 @@ table (all ks at once, one pass per N_A sector) and the ``quantify`` simplex
 
 Every size a table takes is checked against its limit before any row is
 computed: GHZ qubits against ``states.MAX_STATE_BYTES``, and
-``MAX_QUANTIFY_POINTS``, ``MAX_MULTIGEN_D``, ``MAX_SPLIT_DICKE_N`` and
-``MAX_PARTITION_N`` below.
+``MAX_QUANTIFY_POINTS``, ``MAX_MULTIGEN_D``, ``MAX_SPLIT_DICKE_N``,
+``MAX_PARTITION_N`` and ``MAX_FOCK_CUTOFF`` below.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .metrology import POVM, povm_from_basis, qfi
 from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure
 from .states import (
     BipartitePureState,
+    default_fock_cutoff,
     dicke_bounds,
     fock_space,
     ghz_state,
@@ -50,6 +51,7 @@ MAX_QUANTIFY_POINTS = 1_000_000  # d = 3 simplex grid points: step 0.001 (501,50
 MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
 MAX_SPLIT_DICKE_N = 2000  # about 4.4 s and 180 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
 MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
+MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9: 0.3 s, 66 MB; above alpha ~28 its tail sum may not close
 
 
 def _check_limit(value: int, limit: int, what: str, name: str) -> None:
@@ -344,6 +346,11 @@ def split_dicke_partition_rows(n: int, p: float, k_values):
 # ---------------------------------------------------------------------------
 
 def cat_rows(alphas):
+    alphas = [float(a) for a in alphas]
+    top = max(alphas, default=0.0)
+    # the cutoff exceeds alpha^2, the mean photon number, so a larger alpha^2 is over the limit without its tail sum
+    if top * top > MAX_FOCK_CUTOFF or default_fock_cutoff(top) > MAX_FOCK_CUTOFF:
+        raise ValidationError(f"alpha = {top:g} needs a Fock cutoff over the limit MAX_FOCK_CUTOFF = {MAX_FOCK_CUTOFF}")
     header = [
         "alpha",
         "cutoff",
@@ -375,7 +382,7 @@ def cat_rows(alphas):
             1.0 / cv_p,
         ]
 
-    return header, parallel_map(one, [float(a) for a in alphas])
+    return header, parallel_map(one, alphas)
 
 
 # ---------------------------------------------------------------------------

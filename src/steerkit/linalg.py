@@ -1,7 +1,7 @@
 """Dense complex linear algebra over finite-dimensional Hilbert spaces.
 
-Validated operator/state helpers plus the eigendecomposition, tensor-product,
-partial-trace and generator-exponential primitives everything else builds on.
+Validated operator/state helpers plus the eigendecomposition and
+generator-exponential primitives everything else builds on.
 A diagonal operator may be given as its real diagonal, a 1-D float array:
 ``require_hermitian`` checks that form, and the functionals act on it as a
 row scaling, so it never becomes a d x d matrix.
@@ -180,8 +180,15 @@ class Spectrum:
 
 
 def hermitian_eig(operator) -> Spectrum:
-    """Eigendecompose a Hermitian operator (checked to ``TOL.herm``); eigenvalues come out ascending."""
-    op = require_hermitian(as_complex_matrix(operator, "operator"))
+    """Eigendecompose a Hermitian operator (checked to ``TOL.herm``); eigenvalues come out ascending.
+
+    A diagonal (d,) needs no solver: its sorted entries, with the standard
+    basis vectors in the same order.
+    """
+    op = require_hermitian(operator)
+    if op.ndim == 1:
+        order = np.argsort(op)
+        return Spectrum(eigenvalues=op[order], eigenvectors=np.eye(len(op))[:, order])
     try:
         vals, vecs = np.linalg.eigh(op)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
@@ -217,39 +224,9 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -1j * (a @ b - b @ a)
 
 
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product of one or more matrices (dimensions multiply)."""
-    if not factors:
-        raise ValidationError("tensor() needs at least one factor")
-    out = as_complex_matrix(factors[0], "tensor factor")
-    for factor in factors[1:]:
-        out = np.kron(out, as_complex_matrix(factor, "tensor factor"))
-    return out
-
-
-def partial_trace(rho, dims: tuple[int, int], keep) -> np.ndarray:
-    """Trace out one subsystem of a bipartite operator.
-
-    ``dims = (d_A, d_B)`` with the first factor as the slow index;
-    ``keep`` is ``"A"``/``0`` or ``"B"``/``1``.
-    """
-    d_a, d_b = int(dims[0]), int(dims[1])
-    mat = as_complex_matrix(rho, "rho")
-    if mat.shape != (d_a * d_b, d_a * d_b):
-        raise ValidationError(
-            f"rho has shape {mat.shape}, expected ({d_a * d_b}, {d_a * d_b}) for dims {dims}"
-        )
-    four = mat.reshape(d_a, d_b, d_a, d_b)
-    if keep in ("A", "a", 0):
-        return np.einsum("ajbj->ab", four)
-    if keep in ("B", "b", 1):
-        return np.einsum("jajb->ab", four)
-    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def unitary_from_generator(generator, angle: float) -> np.ndarray:
-    """exp(-i * angle * H) for Hermitian H, via its eigendecomposition."""
-    spec = hermitian_eig(generator)
+    """exp(-i * angle * H) for Hermitian H, via its eigendecomposition or from its ``Spectrum``."""
+    spec = generator if isinstance(generator, Spectrum) else hermitian_eig(generator)
     phases = np.exp(-1j * float(angle) * spec.eigenvalues)
     v = spec.eigenvectors
     return (v * phases) @ dagger(v)

@@ -293,8 +293,7 @@ def qubit_gap_identity(state: BipartitePureState, directions=None) -> tuple[floa
     gaps = np.asarray([qubit_direction_gap(state, n) for n in directions])
     if gaps.size > 1 and float(gaps.max() - gaps.min()) > 1e-8:
         raise NumericError(f"gap varies with direction by {gaps.max() - gaps.min():.3e}")
-    reduced = state.reduced_b()
-    purity = float(np.trace(reduced @ reduced).real)
+    purity = float(np.sum(schmidt(state).coefficients ** 2))
     return float(gaps.mean()), 8.0 * (1.0 - purity)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import Assemblage, conditional_variance
-from .linalg import NumericError, ValidationError, hermitian_eig, require_hermitian, unitary_from_generator
+from .linalg import NumericError, Spectrum, ValidationError, commutator, hermitian_eig, require_hermitian, unitary_from_generator
 from .metrology import POVM, _outcomes, as_state, expectation, variance
 
 _FD_STEP = 1e-5  # finite-difference step for the derivative cross-check
@@ -50,20 +50,15 @@ class SampleRun:
     setting: str
 
 
-def _matrix(operator, name: str) -> np.ndarray:
-    """A checked operator as a d x d matrix: the sampler draws from its eigenbasis
-    and rotates by exp(-i theta H), so a diagonal (d,) becomes np.diag of it."""
-    op = require_hermitian(operator, name=name)
-    return np.diag(op) if op.ndim == 1 else op
+def _mean_derivative(st: Spectrum, h: np.ndarray, u_step: np.ndarray, m: np.ndarray) -> float:
+    """d<M>_theta/dtheta at theta = 0, analytically and with an FD cross-check.
 
-
-def _mean_derivative(rho: np.ndarray, h: np.ndarray, m: np.ndarray) -> float:
-    """d<M>_theta/dtheta at theta = 0, analytically and with an FD cross-check."""
-    comm = m @ h - h @ m
-    analytic = float((-1j * np.trace(rho @ comm)).real)
-    u = unitary_from_generator(h, _FD_STEP)
-    fwd = float(np.trace((u @ rho @ u.conj().T) @ m).real)
-    bwd = float(np.trace((u.conj().T @ rho @ u) @ m).real)
+    The analytic value is <-i[M, H]>; the central difference evaluates <M> on
+    the spectra rotated by U = exp(-i step H) (``u_step``) and by U^dag.
+    """
+    analytic = expectation(st, commutator(m, h))
+    rotated = (Spectrum(st.eigenvalues, u @ st.eigenvectors, st.floor) for u in (u_step, u_step.conj().T))
+    fwd, bwd = (expectation(r, m) for r in rotated)
     fd = (fwd - bwd) / (2.0 * _FD_STEP)
     scale = max(abs(analytic), abs(fd), 1.0)
     if abs(analytic - fd) > 1e-6 * scale:
@@ -90,56 +85,50 @@ def moment_estimator_validation(
     setting) in its eigenbasis on his phase-shifted conditional state.  The
     estimator inverts the calibrated response of the sample mean of
     (m_est(a) - m) around theta = 0.  H and M may each be a d x d matrix
-    or a real diagonal (d,); the sampler uses its d x d form, so this path
-    is meant for small d.  ``empirical_var`` should match
+    or a real diagonal (d,).  H is diagonalised once per run, and a fixed M
+    once: H's spectrum gives its spectral radius and every rotation
+    exp(-i theta H).  ``empirical_var`` should match
     ``predicted_var`` = Var[M_est] / (n |d<M_est - M>/dtheta|^2) in the
     central limit.
     """
     if n < 1 or reps < 2:
         raise ValidationError(f"need n >= 1 shots and reps >= 2 repetitions, got n = {n}, reps = {reps}")
-    h = _matrix(h, "H")
+    h = require_hermitian(h, name="H")
     adaptive = isinstance(m, (list, tuple))
     if adaptive:
         if setting is None:
             raise ValidationError("per-outcome observables need an explicit setting label")
-        m_list = [_matrix(mi, f"M[{i}]") for i, mi in enumerate(m)]
+        m_list = [require_hermitian(mi, name=f"M[{i}]") for i, mi in enumerate(m)]
     else:
-        m_single = _matrix(m, "M")
+        m_list = [require_hermitian(m, name="M")]
         if setting is None:
-            _, setting = conditional_variance(assemblage, m_single)
+            _, setting = conditional_variance(assemblage, m_list[0])
     rec = assemblage.setting(setting)
     if adaptive and len(m_list) != rec.n_outcomes:
         raise ValidationError(
             f"got {len(m_list)} observables for {rec.n_outcomes} outcomes of {setting!r}"
         )
-    if not adaptive:
-        m_list = [m_single] * rec.n_outcomes
+    # (M_a, its spectrum) per outcome: a fixed M is diagonalised once
+    m_pairs = [(mi, hermitian_eig(mi)) for mi in m_list] * (1 if adaptive else rec.n_outcomes)
+    h_spec = hermitian_eig(h)
+    u_step, u = (unitary_from_generator(h_spec, angle) for angle in (_FD_STEP, theta_true))
 
-    deriv = 0.0
-    for p_a, st, m_a in zip(rec.probabilities, rec.states, m_list):
-        deriv += p_a * _mean_derivative(st.reconstruct(), h, m_a)
-    if abs(deriv) < 1e-8:
-        raise NumericError(f"response |d<M>/dtheta| = {abs(deriv):.3e} is flat; cannot calibrate")
-    spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    if abs(theta_true) * spectral_radius > 0.05:
-        raise ValidationError(
-            f"theta_true = {theta_true} leaves the linear-response window for this generator"
-        )
-
-    u = unitary_from_generator(h, theta_true)
-
-    # Joint distribution of (Alice outcome, Bob M_a-eigenvector) at theta_true,
-    # and the calibrated per-outcome offsets m_est(a) - m at theta = 0.
-    joint, offsets = [], []
-    var_m_est = 0.0
-    for p_a, st, m_a in zip(rec.probabilities, rec.states, m_list):
-        m_spec = hermitian_eig(m_a)
-        m_est = expectation(st, m_a)
+    # Per outcome: the response d<M_a>/dtheta, the joint distribution of (Alice outcome,
+    # Bob M_a-eigenvector) at theta_true, and the calibrated offset m_est(a) - m at theta = 0.
+    deriv, var_m_est, joint, offsets = 0.0, 0.0, [], []
+    for p_a, st, (m_a, m_spec) in zip(rec.probabilities, rec.states, m_pairs):
+        deriv += p_a * _mean_derivative(st, h, u_step, m_a)
         var_m_est += p_a * variance(st, m_a)
         # p(m) = sum_i (lam_i - mu) |<m|U v_i>|^2 + mu on the rotated conditional state
         p_m = np.abs(m_spec.eigenvectors.conj().T @ (u @ st.eigenvectors)) ** 2 @ (st.eigenvalues - st.floor) + st.floor
         joint.append(p_a * np.clip(p_m, 0.0, None))
-        offsets.append(m_est - m_spec.eigenvalues)
+        offsets.append(expectation(st, m_a) - m_spec.eigenvalues)
+    if abs(deriv) < 1e-8:
+        raise NumericError(f"response |d<M>/dtheta| = {abs(deriv):.3e} is flat; cannot calibrate")
+    if abs(theta_true) * float(np.max(np.abs(h_spec.eigenvalues))) > 0.05:
+        raise ValidationError(
+            f"theta_true = {theta_true} leaves the linear-response window for this generator"
+        )
     joint = np.concatenate(joint)
     offsets = np.concatenate(offsets)
     joint /= joint.sum()

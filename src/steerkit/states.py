@@ -95,10 +95,6 @@ class BipartitePureState:
         """Amplitudes as a (d_A, d_B) matrix."""
         return np.asarray(self.amplitudes, dtype=complex).reshape(self.dims)
 
-    def reduced_b(self) -> np.ndarray:
-        m = self.matrix
-        return m.T @ m.conj()
-
 
 # ---------------------------------------------------------------------------
 # Rotation overlaps <k| exp(-i phi Jy) |k'>

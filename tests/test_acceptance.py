@@ -47,7 +47,7 @@ from steerkit.pure import (
 from steerkit.sampling import epr_product_check, moment_estimator_validation
 from steerkit.states import BipartitePureState, collective_jz, fock_space, spin_ops
 
-from conftest import SY, SZ, random_density, random_hermitian, random_pure
+from conftest import SY, SZ, random_density, random_hermitian, random_pure, reduced_b, tensor
 from test_assemblage import random_lhs_model
 from test_pure import batched_delta, delta_for_generator, sample_generators
 from test_sampling import plus_state_assemblage
@@ -185,7 +185,7 @@ def test_criterion_06_optimal_povm_theorem():
             for _ in range(100):
                 state = BipartitePureState(dims=(d, d), amplitudes=random_pure(rng, d * d))
                 h = random_hermitian(rng, d)
-                rho_b = state.reduced_b()
+                rho_b = reduced_b(state)
                 asm = assemblage_from_pure_state(
                     state,
                     [
@@ -295,7 +295,7 @@ def test_criterion_10_qubit_gap_identity():
         rng = np.random.default_rng(1010)
         for _ in range(100):
             state = BipartitePureState(dims=(2, 2), amplitudes=random_pure(rng, 4))
-            rho_b = state.reduced_b()
+            rho_b = reduced_b(state)
             target = 8.0 * (1.0 - float(np.trace(rho_b @ rho_b).real))
             directions = rng.standard_normal((10, 3))
             gaps = np.array([qubit_direction_gap(state, nvec) for nvec in directions])
@@ -322,7 +322,6 @@ def test_criterion_11_monte_carlo_estimator():
         rng = np.random.default_rng(1113)
         from steerkit.assemblage import assemblage_from_state
         from steerkit.experiments import qubit_basis_povm
-        from steerkit.linalg import tensor
 
         tested = 0
         while tested < 20:

@@ -27,7 +27,7 @@ from steerkit.experiments import (
     qubit_basis_povm,
     split_dicke_assemblage,
 )
-from steerkit.linalg import TOL, Spectrum, ValidationError, tensor
+from steerkit.linalg import TOL, Spectrum, ValidationError
 from steerkit.metrology import as_state, make_povm, povm_from_basis, qfi, variance
 from steerkit.pure import optimal_assemblage
 from steerkit.states import (
@@ -39,7 +39,18 @@ from steerkit.states import (
     spin_ops,
 )
 
-from conftest import I2, SX, SZ, outer, random_density, random_floored_state, random_hermitian, random_pure
+from conftest import (
+    I2,
+    SX,
+    SZ,
+    dense_mixture,
+    outer,
+    random_density,
+    random_floored_state,
+    random_hermitian,
+    random_pure,
+    tensor,
+)
 
 
 def random_lhs_model(rng, d_b=None, n_lambda=None, n_settings=None, n_outcomes=None):
@@ -144,6 +155,11 @@ class TestLHS:
         asm = assemblage_from_lhs(model)
         for st, sigma in zip(asm.settings[0].states, sigmas):
             assert np.max(np.abs(st.reconstruct() - sigma)) < 1e-12
+
+    def test_local_states_of_different_dimensions_rejected(self):
+        model = LHSModel(weights=np.array([0.5, 0.5]), local_states=(I2 / 2, np.eye(3) / 3), responses={"X0": np.eye(2)})
+        with pytest.raises(ValidationError, match=r"local states differ in dimension: \[2, 3\]"):
+            assemblage_from_lhs(model)
 
     def test_lhs_never_steers(self, rng):
         for _ in range(200):
@@ -492,15 +508,14 @@ class TestSpectra:
         assert abs(report.cond_qfi - 121.0) < 1e-9 and abs(report.cond_var) < 1e-12
         assert abs(report.var_reduced - 121.0 / 4.0) < 1e-9 and abs(report.qfi_reduced) < 1e-9
 
-    def test_each_mixed_block_diagonalised_once(self, monkeypatch):
+    def test_mixing_calls_no_dense_eigh(self, monkeypatch):
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigh(a, *args, **kw))
-        # mixing builds dense conditional blocks; the noisy GHZ assemblage itself needs no eigh
+        # each mixed block is the thin SVD of its stacked 8 x 2 factor, and Bob's reduced state that of an 8 x 4 one
         asm = mix_assemblages(ghz_assemblage(3), ghz_noise_assemblage(3, 0.0, 0.5), 0.5)
-        assert shapes == [(8, 8)] * 4  # two settings, two outcomes
         steering_witness(asm, collective_jz(3))
-        assert shapes == [(8, 8)] * 5  # plus Bob's reduced state
+        assert (8, 8) not in shapes
 
     def test_witness_validates_h_once(self, monkeypatch):
         import steerkit.assemblage as module
@@ -545,6 +560,18 @@ class TestFloorConditioning:
                 for i in range(rec.n_outcomes):
                     assert np.max(np.abs(rec.states[i].reconstruct() - rec_ref.states[i].reconstruct())) < 1e-12
             assert np.max(np.abs(got.reduced_spectrum().reconstruct() - ref.reduced_spectrum().reconstruct())) < 1e-12
+
+    def test_mix_of_floored_assemblages_matches_dense(self, rng):
+        settings = self.SETTINGS["unsharp"]
+        first, second = (
+            assemblage_from_state(random_floored_state(rng, 6, r, floor), (2, 3), settings) for r, floor in ((2, 1e-3), (1, 0.02))
+        )
+        mixed = mix_assemblages(first, second, 0.3)
+        for rec, ref in zip(mixed.settings, dense_mixture(first, second, 0.3)):
+            assert rec.outcomes == tuple(ref)
+            for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states):
+                assert abs(p - ref[lab][0]) < 1e-12
+                assert np.max(np.abs(st.reconstruct() - ref[lab][1])) < 1e-12
 
     def test_noisy_ghz_witness_never_diagonalises_large_matrices(self, monkeypatch):
         def small_only(fn):

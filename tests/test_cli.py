@@ -56,6 +56,8 @@ INVALID_COMMANDS = {
     "ghz_far_over_qubit_limit": ["ghz", "--n", "100000"],
     "cat_over_range_point_limit": ["cat", "--alpha", "0:2:1e-12"],
     "multigen_over_range_point_limit": ["multigen", "--d", "2:1e300"],
+    "cat_over_fock_cutoff_limit": ["cat", "--alpha", "0:25"],
+    "cat_far_over_fock_cutoff_limit": ["cat", "--alpha", "100"],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -68,6 +70,8 @@ OVER_LIMIT = {
     "ghz_far_over_qubit_limit": "MAX_STATE_BYTES",
     "cat_over_range_point_limit": "MAX_RANGE_POINTS",
     "multigen_over_range_point_limit": "MAX_RANGE_POINTS",
+    "cat_over_fock_cutoff_limit": "MAX_FOCK_CUTOFF",
+    "cat_far_over_fock_cutoff_limit": "MAX_FOCK_CUTOFF",
 }
 
 

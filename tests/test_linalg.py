@@ -5,15 +5,13 @@ from steerkit.linalg import (
     TOL,
     ValidationError,
     hermitian_eig,
-    partial_trace,
     require_density_matrix,
     require_hermitian,
     require_state_vector,
-    tensor,
     unitary_from_generator,
 )
 
-from conftest import I2, SX, SZ, random_density, random_hermitian
+from conftest import I2, SX, SZ, partial_trace, random_density, random_hermitian, tensor
 
 
 def test_tolerance_policy_values():
@@ -72,6 +70,12 @@ class TestHermitianEig:
         plus = spec.eigenvectors[:, 1]
         assert abs(abs(np.vdot(minus, np.array([1, -1]) / np.sqrt(2))) - 1.0) < 1e-12
         assert abs(abs(np.vdot(plus, np.array([1, 1]) / np.sqrt(2))) - 1.0) < 1e-12
+
+    def test_diagonal_needs_no_solver(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        spec = hermitian_eig(np.array([0.5, -1.0, 0.2]))
+        assert np.array_equal(spec.eigenvalues, [-1.0, 0.2, 0.5])
+        assert np.array_equal(spec.reconstruct(), np.diag([0.5, -1.0, 0.2]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):

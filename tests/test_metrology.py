@@ -23,7 +23,7 @@ from steerkit.pure import gellmann_basis
 from steerkit.sampling import sample_outcomes
 from steerkit.states import coherent_amplitudes, fock_space, wigner_rotation_matrix
 
-from conftest import I2, SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian, random_pure, random_unitary
+from conftest import I2, SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian, random_pure, random_unitary, reduced_b
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
@@ -126,7 +126,7 @@ class TestVariance:
 
         n = 8
         state = split_dicke_fixed(n // 2, n // 2, n // 2)
-        rho_b = state.reduced_b()
+        rho_b = reduced_b(state)
         jz = spin_ops(n // 2).jz
         assert abs(variance(rho_b, jz) - n * (n + 4) / 48) < 1e-12
 

@@ -33,7 +33,7 @@ from steerkit.pure import (
 from steerkit.experiments import maximally_entangled_assemblage
 from steerkit.states import BipartitePureState, ghz_state, hybrid_cat
 
-from conftest import SZ, random_density, random_hermitian, random_pure, random_unitary
+from conftest import SZ, random_density, random_hermitian, random_pure, random_unitary, reduced_b
 
 
 def pure_state_with_spectrum(p, d_a=None):
@@ -118,7 +118,7 @@ class TestOptimalPOVMs:
                 povm = optimal_povm_qfi(state, h)
                 asm = assemblage_from_pure_state(state, [("opt", povm)])
                 achieved = conditional_qfi(asm, h)[0]
-                target = 4.0 * variance(state.reduced_b(), h)
+                target = 4.0 * variance(reduced_b(state), h)
                 assert abs(achieved - target) <= 1e-8 * max(target, 1e-6)
 
     def test_achieves_convex_roof(self, rng):
@@ -129,7 +129,7 @@ class TestOptimalPOVMs:
                 povm = optimal_povm_var(state, h)
                 asm = assemblage_from_pure_state(state, [("opt", povm)])
                 achieved = conditional_variance(asm, h)[0]
-                target = qfi(state.reduced_b(), h) / 4.0
+                target = qfi(reduced_b(state), h) / 4.0
                 assert abs(achieved - target) <= 1e-8 * max(target, 1e-6)
 
     def test_bell_state_var_setting_kills_variance(self):
@@ -144,7 +144,7 @@ class TestOptimalPOVMs:
             d = int(rng.integers(2, 5))
             state = BipartitePureState(dims=(d, d), amplitudes=random_pure(rng, d * d))
             h = random_hermitian(rng, d)
-            rho_b = state.reduced_b()
+            rho_b = reduced_b(state)
             mean = float(np.trace(rho_b @ h).real)
             povm = optimal_povm_qfi(state, h)
             psi = state.matrix
@@ -192,7 +192,7 @@ class TestOptimalPOVMs:
             total = sum(k @ k.conj().T for k in povm.factors)
             assert np.max(np.abs(total - np.eye(4))) < 1e-10
             asm = assemblage_from_pure_state(state, [("opt", povm)])
-            rho_b = state.reduced_b()
+            rho_b = reduced_b(state)
             if builder is optimal_povm_qfi:
                 achieved = conditional_qfi(asm, h)[0]
             else:
@@ -205,7 +205,7 @@ class TestOptimalPOVMs:
         povm = optimal_povm_qfi(state, h)
         assert povm.n_outcomes == 5
         asm = assemblage_from_pure_state(state, [("opt", povm)])
-        target = 4.0 * variance(state.reduced_b(), h)
+        target = 4.0 * variance(reduced_b(state), h)
         assert abs(conditional_qfi(asm, h)[0] - target) < 1e-8 * max(target, 1e-6)
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from steerkit.assemblage import assemblage_from_state
 from steerkit.experiments import bell_assemblage, ghz_assemblage, qubit_basis_povm, split_dicke_assemblage
-from steerkit.linalg import NumericError, ValidationError, partial_trace, tensor
+from steerkit.linalg import NumericError, ValidationError
 from steerkit.metrology import povm_from_basis, variance
 from steerkit.sampling import epr_product_check, moment_estimator_validation, sample_outcomes
 from steerkit.states import collective_jz, spin_ops, split_dicke_fixed, wigner_rotation_matrix
 
-from conftest import SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian
+from conftest import SX, SY, SZ, outer, partial_trace, random_density, random_floored_state, random_hermitian, tensor
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
@@ -118,6 +118,22 @@ class TestMomentEstimator:
         run = moment_estimator_validation(asm, mode.x, mode.p, theta_true=0.005, n=2000, reps=50, seed=9)
         # the y basis minimizes the conditional variance of M = p
         assert run.setting == "y"
+
+    def test_h_and_a_fixed_m_diagonalised_once_per_run(self, monkeypatch):
+        import steerkit.sampling as module
+
+        calls = []
+        eig = module.hermitian_eig
+        monkeypatch.setattr(module, "hermitian_eig", lambda op: calls.append(op) or eig(op))
+        # Alice's sz setting has two outcomes, each leaving Bob in |+>
+        asm = assemblage_from_state(tensor(np.diag([0.6, 0.4]), outer(PLUS)), (2, 2), [("sz", qubit_basis_povm("z"))])
+        assert asm.setting("sz").n_outcomes == 2
+        moment_estimator_validation(asm, SZ / 2, SY, n=100, reps=5, seed=1)
+        assert len(calls) == 2 and sum(np.array_equal(op, SZ / 2) for op in calls) == 1
+        calls.clear()
+        # per-outcome observables: H once, then each M_a once
+        moment_estimator_validation(bell_assemblage(), SZ / 2, [SY, -SY], n=100, reps=5, seed=1, setting="sx")
+        assert len(calls) == 3 and sum(np.array_equal(op, SZ / 2) for op in calls) == 1
 
     def test_adaptive_observables_restore_response(self):
         # split twin Fock: any fixed M has flat response (vanishing

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from steerkit.linalg import ValidationError, partial_trace
+from steerkit.linalg import ValidationError
 from steerkit.metrology import qfi, variance
 from steerkit.states import (
     BipartitePureState,
@@ -26,7 +26,7 @@ from steerkit.states import (
     wigner_rotation_matrix,
 )
 
-from conftest import random_density
+from conftest import partial_trace, random_density, reduced_b
 
 
 class TestSpinOps:
@@ -156,7 +156,7 @@ class TestGHZ:
     def test_reduced_state_rank_two(self):
         for n_total in (3, 5):
             state = ghz_state(n_total, 0.7)
-            vals = np.linalg.eigvalsh(state.reduced_b())
+            vals = np.linalg.eigvalsh(reduced_b(state))
             assert np.allclose(sorted(vals)[-2:], [0.5, 0.5], atol=1e-12)
             assert np.allclose(vals[:-2], 0.0, atol=1e-12)
 
@@ -390,7 +390,7 @@ class TestBipartitePureState:
         vec = random_pure(rng, 12)
         state = BipartitePureState(dims=(3, 4), amplitudes=vec)
         rho = np.outer(vec, vec.conj())
-        assert np.allclose(state.reduced_b(), partial_trace(rho, (3, 4), "B"))
+        assert np.allclose(reduced_b(state), partial_trace(rho, (3, 4), "B"))
 
 
 class TestStateErrors:
