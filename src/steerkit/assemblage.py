@@ -202,11 +202,6 @@ def _setting(label, outcome_labels, weighted) -> SettingRecord:
     )
 
 
-def _labelled(settings):
-    """(label, POVM) pairs from a dict or from a sequence of pairs."""
-    return settings.items() if isinstance(settings, dict) else settings
-
-
 def _conditioned(rows, f: np.ndarray, d_b: int, floor: float):
     """(p(a), block) of one outcome, for rho_AB = F F^dag + floor I with F of shape (d_A, d_B * r).
 
@@ -227,11 +222,11 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
     """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each labelled POVM setting.
 
     ``rho_ab`` is a density matrix or a ``Spectrum`` (taken through
-    ``as_state``); ``settings`` maps labels to POVMs (a dict or (label, POVM)
-    pairs).  A dense rho_AB gets one ``eigh``; then each outcome conditions
-    the factor V sqrt(lam - floor) of rho_AB and inherits floor tr(E_a) on
-    every direction of Bob's space, so a state of rank r conditions on
-    d_B x r matrices.  Outcomes keep their POVM labels.
+    ``as_state``); ``settings`` holds (label, POVM) pairs.  A dense rho_AB
+    gets one ``eigh``; then each outcome conditions the factor
+    V sqrt(lam - floor) of rho_AB and inherits floor tr(E_a) on every
+    direction of Bob's space, so a state of rank r conditions on d_B x r
+    matrices.  Outcomes keep their POVM labels.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     st = as_state(rho_ab, name="rho_AB")
@@ -239,7 +234,7 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
         raise ValidationError(f"rho_AB dimension {st.dim} != {d_a} * {d_b}")
     f = (st.eigenvectors * np.sqrt(st.eigenvalues - st.floor)).reshape(d_a, -1)
     recs = []
-    for label, povm in _labelled(settings):
+    for label, povm in settings:
         if povm.dim != d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
         weighted = (_conditioned(dagger(k), f, d_b, st.floor) for k in povm.factors)
@@ -402,21 +397,12 @@ def joint_cfi(assemblage: Assemblage, setting_label: str, povm_b: POVM, h) -> fl
     return total
 
 
-def bounds_check(report: WitnessReport, tol: float = 1e-9) -> bool:
-    """F_Q[rho_B] <= cond_qfi <= 4 Var[rho_B] and the mirrored variance chain."""
-    vals = (
-        report.qfi_reduced,
-        report.cond_qfi,
-        4.0 * report.var_reduced,
-        4.0 * report.cond_var,
-    )
-    if not all(np.isfinite(v) for v in vals):
+def bounds_check(report: WitnessReport) -> bool:
+    """F_Q[rho_B] <= cond_qfi <= 4 Var[rho_B] and the mirrored variance chain, each within 1e-9."""
+    q_red, cq, v_red, cv = report.qfi_reduced, report.cond_qfi, 4.0 * report.var_reduced, 4.0 * report.cond_var
+    if not all(np.isfinite(v) for v in (q_red, cq, v_red, cv)):
         return False
-    ok = report.qfi_reduced <= report.cond_qfi + tol
-    ok &= report.cond_qfi <= 4.0 * report.var_reduced + tol
-    ok &= report.qfi_reduced <= 4.0 * report.cond_var + tol
-    ok &= 4.0 * report.cond_var <= 4.0 * report.var_reduced + tol
-    return bool(ok)
+    return bool(q_red <= cq + 1e-9 and cq <= v_red + 1e-9 and q_red <= cv + 1e-9 and cv <= v_red + 1e-9)
 
 
 def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Assemblage:

@@ -59,22 +59,21 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _write(text: str, out) -> None:
+    if out in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
+
+
 def write_csv(header, rows, out) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(format_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    _write("\n".join(lines) + "\n", out)
 
 
 def write_json_doc(doc, out) -> None:
-    text = json.dumps(doc, default=float, indent=2) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    _write(json.dumps(doc, default=float, indent=2) + "\n", out)
 
 
 def write_json_table(header, rows, out) -> None:

@@ -51,7 +51,7 @@ MAX_QUANTIFY_POINTS = 1_000_000  # d = 3 simplex grid points: step 0.001 (501,50
 MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
 MAX_SPLIT_DICKE_N = 2000  # about 4.4 s and 180 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
 MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
-MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9: 0.3 s, 66 MB; above alpha ~28 its tail sum may not close
+MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9: 0.3 s, 66 MB
 
 
 def _check_limit(value: int, limit: int, what: str, name: str) -> None:
@@ -116,16 +116,16 @@ def split_dicke_assemblage(k: int, n_a: int, n_b: int) -> Assemblage:
     )
 
 
-def cat_assemblage(alpha: float, cutoff: int | None = None) -> Assemblage:
-    state = hybrid_cat(alpha, cutoff)
+def cat_assemblage(alpha: float) -> Assemblage:
+    state = hybrid_cat(alpha)
     return assemblage_from_pure_state(
         state,
         [("z", qubit_basis_povm("z")), ("x", qubit_basis_povm("x")), ("y", qubit_basis_povm("y"))],
     )
 
 
-def bell_assemblage(phi: float = 0.0) -> Assemblage:
-    return ghz_assemblage(1, phi)
+def bell_assemblage() -> Assemblage:
+    return ghz_assemblage(1)
 
 
 def maximally_entangled_assemblage(d: int) -> tuple[Assemblage, BipartitePureState]:

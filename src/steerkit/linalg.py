@@ -97,19 +97,19 @@ def qr_r_by_rows(rows_of, n_rows: int, n_cols: int) -> np.ndarray:
     return np.linalg.qr(np.concatenate(blocks), mode="r")
 
 
-def require_hermitian(matrix, tol: float = TOL.herm, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (max-abs) and return the operator.
+def require_hermitian(matrix, name: str = "operator") -> np.ndarray:
+    """Validate Hermiticity within ``TOL.herm`` (max-abs) and return the operator.
 
     A 1-D array is a diagonal operator given by its diagonal: it must be
-    finite, with imaginary parts within ``tol / 2`` (the dense check's
+    finite, with imaginary parts within ``TOL.herm / 2`` (the dense check's
     |M_ii - conj(M_ii)|), and comes back as a float array.
     """
     if np.ndim(matrix) == 1:
         diag = np.asarray(matrix)
         if np.iscomplexobj(diag):
             dev = 2.0 * float(np.max(np.abs(diag.imag), initial=0.0))
-            if dev > tol:
-                raise ValidationError(f"{name} diagonal is not real: max |h - conj(h)| = {dev:.3e} > {tol:.1e}")
+            if dev > TOL.herm:
+                raise ValidationError(f"{name} diagonal is not real: max |h - conj(h)| = {dev:.3e} > {TOL.herm:.1e}")
         diag = np.asarray(diag.real, dtype=float)
         if not np.all(np.isfinite(diag)):
             raise ValidationError(f"{name} diagonal has non-finite entries")
@@ -118,8 +118,8 @@ def require_hermitian(matrix, tol: float = TOL.herm, name: str = "operator") -> 
     if out.shape[0] != out.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {out.shape}")
     dev = max_abs_by_rows(lambda lo, hi: out[lo:hi] - dagger(out[:, lo:hi]), *out.shape)
-    if dev > tol:
-        raise ValidationError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > TOL.herm:
+        raise ValidationError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {TOL.herm:.1e}")
     return out
 
 

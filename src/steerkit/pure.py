@@ -276,25 +276,23 @@ def qubit_direction_gap(state: BipartitePureState, direction) -> float:
     return cq - 4.0 * cv
 
 
-def qubit_gap_identity(state: BipartitePureState, directions=None) -> tuple[float, float]:
+def qubit_gap_identity(state: BipartitePureState) -> tuple[float, float]:
     """Direction-independent gap identity for qubit Bob.
 
-    Returns (lhs, rhs) with lhs the generator-direction average of
-    cond_qfi - 4 cond_var over the supplied (or a default) direction grid and
+    Returns (lhs, rhs) with lhs the average of cond_qfi - 4 cond_var over ten
+    generator directions on a golden-angle spiral and
     rhs = 8 (1 - tr[(rho_B)^2]).  Direction dependence beyond 1e-8 raises.
     """
-    if directions is None:
-        golden = np.pi * (3.0 - math.sqrt(5.0))
-        directions = []
-        for i in range(10):
-            z = 1.0 - 2.0 * (i + 0.5) / 10.0
-            r = math.sqrt(max(1.0 - z * z, 0.0))
-            directions.append((r * math.cos(golden * i), r * math.sin(golden * i), z))
-    gaps = np.asarray([qubit_direction_gap(state, n) for n in directions])
-    if gaps.size > 1 and float(gaps.max() - gaps.min()) > 1e-8:
-        raise NumericError(f"gap varies with direction by {gaps.max() - gaps.min():.3e}")
+    golden = np.pi * (3.0 - math.sqrt(5.0))
+    gaps = []
+    for i in range(10):
+        z = 1.0 - 2.0 * (i + 0.5) / 10.0
+        r = math.sqrt(max(1.0 - z * z, 0.0))
+        gaps.append(qubit_direction_gap(state, (r * math.cos(golden * i), r * math.sin(golden * i), z)))
+    if max(gaps) - min(gaps) > 1e-8:
+        raise NumericError(f"gap varies with direction by {max(gaps) - min(gaps):.3e}")
     purity = float(np.sum(schmidt(state).coefficients ** 2))
-    return float(gaps.mean()), 8.0 * (1.0 - purity)
+    return float(np.mean(gaps)), 8.0 * (1.0 - purity)
 
 
 def ancilla_invariance_check(state: BipartitePureState, ancilla_dim: int, tol: float = 1e-10) -> bool:

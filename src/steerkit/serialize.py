@@ -9,6 +9,7 @@ stay distinguishable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -171,32 +172,11 @@ def assemblage_from_json(doc: dict, path: str = "$") -> Assemblage:
 
 
 def witness_report_to_json(report: WitnessReport) -> dict:
-    return {
-        "type": "witness_report",
-        "cond_qfi": report.cond_qfi,
-        "cond_var": report.cond_var,
-        "delta": report.delta,
-        "qfi_reduced": report.qfi_reduced,
-        "var_reduced": report.var_reduced,
-        "argmax_setting": report.argmax_setting,
-        "argmin_setting": report.argmin_setting,
-        "steering": report.steering,
-    }
+    return {"type": "witness_report", **dataclasses.asdict(report)}
 
 
 def sample_run_to_json(run: SampleRun) -> dict:
-    return {
-        "type": "sample_run",
-        "seed": run.seed,
-        "n_shots": run.n_shots,
-        "theta_true": run.theta_true,
-        "estimates": [float(v) for v in run.estimates],
-        "empirical_var": run.empirical_var,
-        "predicted_var": run.predicted_var,
-        "derivative": run.derivative,
-        "var_m_est": run.var_m_est,
-        "setting": run.setting,
-    }
+    return {"type": "sample_run", **dataclasses.asdict(run), "estimates": run.estimates.tolist()}
 
 
 def save_json(obj, path) -> None:

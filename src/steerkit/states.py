@@ -23,7 +23,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import TOL, Spectrum, ValidationError, as_complex_vector, require_state_vector, unitary_from_generator
+from .linalg import Spectrum, ValidationError, as_complex_vector, require_state_vector, unitary_from_generator
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,8 @@ class BipartitePureState:
         d_a, d_b = self.dims
         vec = as_complex_vector(self.amplitudes, "amplitudes")
         if vec.shape[0] != d_a * d_b:
-            raise ValidationError(
-                f"amplitude length {vec.shape[0]} does not match dims {self.dims}"
-            )
-        dev = abs(float(np.vdot(vec, vec).real) - 1.0)
-        if dev > TOL.norm:
-            raise ValidationError(f"state squared norm deviates from 1 by {dev:.3e}")
+            raise ValidationError(f"amplitude length {vec.shape[0]} does not match dims {self.dims}")
+        require_state_vector(vec, "state")
 
     @property
     def d_a(self) -> int:
@@ -318,21 +314,31 @@ def fock_space(cutoff: int) -> FockSpace:
     return FockSpace(cutoff=n, a_dagger=a_dag, x=x, p=p)
 
 
-def default_fock_cutoff(alpha: float, tail: float = 1e-12, floor: int = 20) -> int:
-    """Smallest cutoff whose truncated coherent tail mass stays below ``tail``."""
+FOCK_TAIL = 1e-12  # the most coherent tail mass P(N >= cutoff) a cutoff leaves out
+FOCK_FLOOR = 20  # the smallest cutoff
+
+
+def default_fock_cutoff(alpha: float) -> int:
+    """Smallest cutoff n >= ``FOCK_FLOOR`` with P(N >= n) <= ``FOCK_TAIL``, N ~ Poisson(alpha^2).
+
+    The tail is summed from K = lam + 12 sqrt(lam) + 30 down, smallest terms
+    first, each one exp(k log lam - lam - log k!) on its own
+    (``_log_factorials``), so no running sum's rounding enters.  The mass
+    past K, at most pmf(K) (K + 1)/(K + 1 - lam), must be under 2^-52
+    ``FOCK_TAIL``, or it raises.
+    """
     lam = float(alpha) ** 2
     if lam == 0.0:
-        return floor
-    log_pmf = -lam  # Poisson pmf at 0, in logs
-    cdf = math.exp(log_pmf)
-    n = 1
-    while 1.0 - cdf > tail:
-        log_pmf += math.log(lam) - math.log(n)
-        cdf += math.exp(log_pmf)
-        n += 1
-        if n > 100000:  # pragma: no cover - tail always closes long before this
-            raise ValidationError("coherent tail mass failed to drop below threshold")
-    return max(n, floor)
+        return FOCK_FLOOR
+    far = lam + 12.0 * math.sqrt(lam) + 30.0
+    if not far <= 100_000:  # NaN too; keeps the log-factorial table small
+        raise ValidationError(f"alpha = {alpha:g} needs over 100000 Poisson terms for its Fock cutoff")
+    far = int(far)
+    log_pmf = np.arange(far + 1) * math.log(lam) - lam - _log_factorials(1 << far.bit_length())[: far + 1]
+    if math.exp(log_pmf[-1]) * (far + 1) / (far + 1 - lam) > FOCK_TAIL * 2.0**-52:
+        raise ValidationError(f"coherent tail mass for alpha = {alpha:g} does not close by {far} photons")
+    tail = np.cumsum(np.exp(log_pmf[::-1]))[::-1]  # tail[n] = P(n <= N <= K)
+    return max(int(np.argmax(tail <= FOCK_TAIL)), FOCK_FLOOR)
 
 
 def coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
@@ -348,22 +354,12 @@ def coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
     return (vec / np.linalg.norm(vec)).astype(complex)
 
 
-def hybrid_cat(alpha: float, cutoff: int | None = None) -> BipartitePureState:
-    """(|0>|alpha> + |1>|-alpha>)/sqrt(2) on qubit (x) truncated Fock space."""
+def hybrid_cat(alpha: float) -> BipartitePureState:
+    """(|0>|alpha> + |1>|-alpha>)/sqrt(2) on qubit (x) the Fock space truncated at ``default_fock_cutoff``."""
     a = float(alpha)
     if a < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    if cutoff is None:
-        cutoff = default_fock_cutoff(a)
-    cutoff = int(cutoff)
-    lam = a * a
-    if lam > 0:
-        # Poisson tail above the cutoff must be negligible or moments are off.
-        log_tail_term = cutoff * math.log(lam) - lgamma(cutoff + 1) - lam
-        if log_tail_term > math.log(1e-10):
-            raise ValidationError(
-                f"cutoff {cutoff} too small for alpha={a}: use default_fock_cutoff"
-            )
+    cutoff = default_fock_cutoff(a)
     plus = coherent_amplitudes(a, cutoff)
     minus = coherent_amplitudes(-a, cutoff)
     joint = np.concatenate([plus, minus]) / math.sqrt(2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -144,6 +145,19 @@ class TestAssemblageRoundTrip:
 
 
 class TestReportSerialization:
+    def test_keys_follow_dataclass_fields(self):
+        # the witness CSV rows and both JSON documents list the fields in this order
+        from steerkit.assemblage import WitnessReport
+        from steerkit.sampling import SampleRun, moment_estimator_validation
+        from test_sampling import plus_state_assemblage
+        from conftest import SY
+
+        report = steering_witness(bell_assemblage(), SZ)
+        run = moment_estimator_validation(plus_state_assemblage(), SZ / 2, SY, n=200, reps=5, seed=1)
+        for doc, cls in ((witness_report_to_json(report), WitnessReport), (sample_run_to_json(run), SampleRun)):
+            assert list(doc) == ["type", *(f.name for f in dataclasses.fields(cls))]
+        assert sample_run_to_json(run)["estimates"] == [float(v) for v in run.estimates]
+
     def test_witness_report_fields(self):
         report = steering_witness(bell_assemblage(), SZ)
         doc = witness_report_to_json(report)

@@ -357,9 +357,21 @@ class TestFockAndCat:
             expected = np.array([(1 - math.exp(-2 * alpha**2)) / 2, (1 + math.exp(-2 * alpha**2)) / 2])
             assert np.allclose(np.sort(vals), expected, atol=1e-10)
 
-    def test_cutoff_guard(self):
-        with pytest.raises(ValidationError, match="cutoff"):
-            hybrid_cat(2.0, cutoff=10)
+    @pytest.mark.parametrize(
+        "alpha", [round(0.05 * i, 12) for i in range(41)] + [28.0885, 30.0, 44.72, 45.0, 47.0]
+    )
+    def test_default_cutoff_is_smallest_closing_n(self, alpha):
+        # the smallest n >= 20 with P(N >= n) <= 1e-12, on the cat table's grid and where a running sum failed
+        from scipy.stats import poisson
+
+        cut = default_fock_cutoff(alpha)
+        assert poisson.sf(cut - 1, alpha**2) <= 1e-12
+        assert cut == 20 or poisson.sf(cut - 2, alpha**2) > 1e-12
+
+    def test_cat_builds_past_alpha_28(self):
+        for alpha in (28.0885, 30.0):
+            state = hybrid_cat(alpha)
+            assert state.dims == (2, default_fock_cutoff(alpha))
 
 
 class TestCollectiveJz:
