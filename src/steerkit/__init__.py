@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "metrology": (
         "POVM", "as_state", "cfi", "make_povm", "povm_from_basis", "qfi", "qfi_commutator_bound",
-        "qfi_white_noise", "var_qfi_gap", "variance",
+        "var_qfi_gap", "variance",
     ),
     "pure": (
         "GeneratorBasis", "SchmidtDecomposition", "ancilla_invariance_check", "gellmann_basis",

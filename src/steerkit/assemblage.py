@@ -182,19 +182,16 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
 def _setting(label, outcome_labels, weighted) -> SettingRecord:
     """Condition on each outcome of one setting, keeping the survivors' labels.
 
-    ``weighted`` holds (p(a), block) per outcome, the block being an amplitude
-    row sqrt(p) psi_a or the ``Spectrum`` of the sub-normalized p rho_a
-    (``_block``).  Outcomes with p below ``TOL.prob_floor`` are dropped; the
-    others keep their own label.  A spectrum is checked at block scale by
-    ``as_state``; a row is only normalised, for ``make_assemblage`` checks
-    every state again.
+    ``weighted`` holds (p(a), block) per outcome, the block being the
+    ``Spectrum`` of the sub-normalized p rho_a (``_block``).  Outcomes with p
+    below ``TOL.prob_floor`` are dropped; the others keep their own label and
+    are checked at block scale by ``as_state``.
     """
     probs, states, kept = [], [], []
     for lab, (p, block) in zip(outcome_labels, weighted):
         if p < TOL.prob_floor:
             continue
-        is_row = isinstance(block, np.ndarray) and block.ndim == 1
-        states.append(block / np.sqrt(p) if is_row else as_state(block, p, f"conditional state {label}/{lab}"))
+        states.append(as_state(block, p, f"conditional state {label}/{lab}"))
         probs.append(p)
         kept.append(str(lab))
     return SettingRecord(
@@ -207,12 +204,10 @@ def _conditioned(rows, f: np.ndarray, d_b: int, floor: float):
 
     ``rows`` is K^dag for the outcome's effect E = K K^dag (``POVM.factors``).
     tr_A[(E (x) 1) rho_AB] = G G^dag + floor tr(E) I, where G = K^dag F with
-    its columns regrouped to d_B rows, and p(a) = ||G||_F^2 + floor tr(E) d_B.
-    A single column without a floor stays an amplitude row.
+    its columns regrouped to d_B rows, and p(a) = ||G||_F^2 + floor tr(E) d_B
+    (``_block``).
     """
     g = rows @ f
-    if g.shape == (1, d_b) and not floor:
-        return float(np.vdot(g, g).real), g[0]
     # one (d_B, r) block per column of K, side by side
     g = np.moveaxis(g.reshape(len(g), d_b, f.shape[1] // d_b), 0, 1).reshape(d_b, -1)
     return _block(g, floor * float(np.vdot(rows, rows).real))
@@ -243,7 +238,7 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
 
 
 def assemblage_from_pure_state(state: BipartitePureState, settings) -> Assemblage:
-    """``assemblage_from_state`` on the rank-1 state: projective settings steer into amplitude rows."""
+    """``assemblage_from_state`` on the rank-1 state |psi><psi|, given as its ``Spectrum``."""
     return assemblage_from_state(Spectrum(np.ones(1), state.matrix.reshape(-1, 1)), state.dims, settings)
 
 

@@ -11,8 +11,10 @@ separators and 15 significant digits.
 Start-up: this module loads only the standard library and builds the parser.
 ``main`` imports numpy and the error classes once argparse has accepted the
 command line, so ``--help`` and usage errors (exit 2) return without loading
-numpy, and each ``_cmd_*`` imports the steerkit modules it calls (``witness``
-loads neither ``experiments`` nor ``sampling``).  A program that has imported
+numpy, and each command imports the steerkit modules it calls: ``_table``, the
+one runner of the table commands, loads ``experiments`` and looks up the rows
+function its subcommand names there; ``witness`` loads neither ``experiments``
+nor ``sampling``.  A program that has imported
 numpy already gains nothing from the deferral and gets every submodule loaded
 with this one.
 
@@ -132,68 +134,29 @@ def _single(text: str, option: str, command: str) -> int:
     return values[0]
 
 
-def _emit(args, header, rows) -> None:
-    if args.format == "json":
-        write_json_table(header, rows, args.out)
-    else:
-        write_csv(header, rows, args.out)
+def _table(args) -> None:
+    """Call the ``experiments`` rows function the subcommand names on the arguments ``args.shape`` makes
+    of its options, and write the table as CSV or JSON."""
+    from . import experiments
+
+    header, rows = getattr(experiments, args.rows)(*args.shape(args))
+    (write_json_table if args.format == "json" else write_csv)(header, rows, args.out)
 
 
-def _cmd_ghz(args):
-    from .experiments import ghz_rows
-
-    header, rows = ghz_rows(parse_range(args.n, int), phi=args.phi)
-    _emit(args, header, rows)
-
-
-def _cmd_ghz_noise(args):
-    from .experiments import ghz_noise_rows
-
-    noise = args.noise if args.noise is not None else args.p
-    if noise is None:
+def _ghz_noise(args):
+    if args.noise is None:
         raise _invalid("ghz-noise needs --noise (or --p) with the mixing probability")
-    header, rows = ghz_noise_rows(parse_range(args.n, int), parse_range(noise), phi=args.phi)
-    _emit(args, header, rows)
+    return parse_range(args.n, int), parse_range(args.noise), args.phi
 
 
-def _cmd_split_dicke(args):
-    from .experiments import split_dicke_rows
-
+def _split_dicke(args):
     n = _single(args.n, "--n", "split-dicke")
-    k = _single(args.k, "--k", "split-dicke") if args.k is not None else n // 2
-    header, rows = split_dicke_rows(n, k)
-    _emit(args, header, rows)
+    return n, n // 2 if args.k is None else _single(args.k, "--k", "split-dicke")
 
 
-def _cmd_split_dicke_partition(args):
-    from .experiments import split_dicke_partition_rows
-
+def _split_dicke_partition(args):
     n = _single(args.n, "--n", "split-dicke-partition")
-    ks = parse_range(args.k, int) if args.k is not None else list(range(0, n + 1))
-    p = args.p if args.p is not None else 0.5
-    header, rows = split_dicke_partition_rows(n, p, ks)
-    _emit(args, header, rows)
-
-
-def _cmd_cat(args):
-    from .experiments import cat_rows
-
-    header, rows = cat_rows(parse_range(args.alpha))
-    _emit(args, header, rows)
-
-
-def _cmd_quantify(args):
-    from .experiments import quantify_rows
-
-    header, rows = quantify_rows(step=args.step)
-    _emit(args, header, rows)
-
-
-def _cmd_multigen(args):
-    from .experiments import multigen_rows
-
-    header, rows = multigen_rows(parse_range(args.d, int))
-    _emit(args, header, rows)
+    return n, args.p, list(range(n + 1)) if args.k is None else parse_range(args.k, int)
 
 
 def _cmd_estimate(args):
@@ -201,18 +164,12 @@ def _cmd_estimate(args):
 
     check = estimate_run(theta=args.theta, shots=args.shots, reps=args.reps, seed=args.seed)
     if args.format == "json":
+        from dataclasses import fields
+
         from .serialize import sample_run_to_json
 
         doc = sample_run_to_json(check.run)
-        doc.update(
-            {
-                "product": check.product,
-                "bound": check.bound,
-                "threshold": check.threshold,
-                "epr_flag": check.epr_flag,
-                "var_h_est": check.var_h_est,
-            }
-        )
+        doc.update((f.name, getattr(check, f.name)) for f in fields(check) if f.name != "run")
         write_json_doc(doc, args.out)
         return
     header = ["rep", "estimate"]
@@ -244,9 +201,9 @@ def _witness_input(path: str) -> Assemblage | BipartitePureState:
 
 
 def _cmd_witness(args):
-    from .assemblage import Assemblage, assemblage_from_pure_state, steering_witness
+    from .assemblage import Assemblage, steering_witness
     from .linalg import require_hermitian
-    from .pure import optimal_povm_qfi, optimal_povm_var, s_avg_pure, s_max_lower_bound, s_max_pure, schmidt
+    from .pure import optimal_assemblage, s_avg_pure, s_max_lower_bound, s_max_pure, schmidt
     from .serialize import load_observable, witness_report_to_json
 
     loaded = _witness_input(args.input)
@@ -257,13 +214,7 @@ def _cmd_witness(args):
         if args.quantify:
             quantifiers["s_lower_bound"] = s_max_lower_bound(asm)
     else:
-        asm = assemblage_from_pure_state(
-            loaded,
-            [
-                ("qfi-opt", optimal_povm_qfi(loaded, observable)),
-                ("var-opt", optimal_povm_var(loaded, observable)),
-            ],
-        )
+        asm = optimal_assemblage(loaded, observable)
         spectrum = schmidt(loaded).coefficients
         quantifiers = {"s_max_pure": s_max_pure(spectrum), "s_avg_pure": s_avg_pure(spectrum)}
     report = steering_witness(asm, observable)
@@ -284,58 +235,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def table(name, about, rows, shape):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=_table, rows=rows, shape=shape)
+        return p
 
-    p = sub.add_parser("ghz", help="pure GHZ conditional QFI/variance table")
+    p = table("ghz", "pure GHZ conditional QFI/variance table", "ghz_rows", lambda a: (parse_range(a.n, int), a.phi))
     p.add_argument("--n", required=True, help="Bob qubit count or range start:stop[:step]")
     p.add_argument("--phi", type=float, default=0.0)
-    add_common(p)
-    p.set_defaults(func=_cmd_ghz)
 
-    p = sub.add_parser("ghz-noise", help="GHZ mixed with white noise")
+    p = table("ghz-noise", "GHZ mixed with white noise", "ghz_noise_rows", _ghz_noise)
     p.add_argument("--n", required=True)
-    p.add_argument("--noise", help="mixing probability p or range")
-    p.add_argument("--p", dest="p", help="alias for --noise")
+    p.add_argument("--noise", "--p", help="mixing probability p or range")
     p.add_argument("--phi", type=float, default=0.0)
-    add_common(p)
-    p.set_defaults(func=_cmd_ghz_noise)
 
-    p = sub.add_parser("split-dicke", help="deterministically split Dicke state table")
+    p = table("split-dicke", "deterministically split Dicke state table", "split_dicke_rows", _split_dicke)
     p.add_argument("--n", required=True, help="total (even) particle number")
     p.add_argument("--k", help="total excitations (default n/2)")
-    add_common(p)
-    p.set_defaults(func=_cmd_split_dicke)
 
-    p = sub.add_parser("split-dicke-partition", help="beam-splitter split Dicke table")
+    p = table(
+        "split-dicke-partition", "beam-splitter split Dicke table", "split_dicke_partition_rows", _split_dicke_partition
+    )
     p.add_argument("--n", required=True)
     p.add_argument("--k", help="excitation number or range (default 0:n)")
-    p.add_argument("--p", type=float, help="splitting ratio (default 0.5)")
-    add_common(p)
-    p.set_defaults(func=_cmd_split_dicke_partition)
+    p.add_argument("--p", type=float, default=0.5, help="splitting ratio (default 0.5)")
 
-    p = sub.add_parser("cat", help="hybrid qubit-oscillator cat state table")
+    p = table("cat", "hybrid qubit-oscillator cat state table", "cat_rows", lambda a: (parse_range(a.alpha),))
     p.add_argument("--alpha", required=True, help="coherent amplitude or range")
-    add_common(p)
-    p.set_defaults(func=_cmd_cat)
 
-    p = sub.add_parser("quantify", help="pure-state quantifiers on the d=3 simplex")
+    p = table("quantify", "pure-state quantifiers on the d=3 simplex", "quantify_rows", lambda a: (a.step,))
     p.add_argument("--step", type=float, default=0.01, help="grid spacing; must divide 1 (default 0.01)")
-    add_common(p)
-    p.set_defaults(func=_cmd_quantify)
 
-    p = sub.add_parser("multigen", help="multi-generator witness for maximally entangled states")
+    p = table(
+        "multigen", "multi-generator witness for maximally entangled states", "multigen_rows",
+        lambda a: (parse_range(a.d, int),),
+    )
     p.add_argument("--d", required=True, help="Bob dimension or range")
-    add_common(p)
-    p.set_defaults(func=_cmd_multigen)
 
     p = sub.add_parser("estimate", help="Monte Carlo phase-estimator validation (Bell strategy)")
     p.add_argument("--theta", type=float, default=0.01)
     p.add_argument("--shots", type=int, default=10_000)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("witness", help="witness evaluation on a user-supplied state/assemblage")
@@ -346,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add the exact maximal violation over the supplied settings (assemblage input)",
     )
-    add_common(p)
     p.set_defaults(func=_cmd_witness)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

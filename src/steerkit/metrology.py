@@ -34,7 +34,6 @@ from .linalg import (
     require_hermitian,
     require_state_vector,
 )
-from .states import white_noise_mixture
 
 
 @dataclass(frozen=True)
@@ -244,11 +243,6 @@ def qfi(state, generators):
     if lam.size < st.dim:  # columns paired with the complement, through its part (1 - V V^dag) H v_i
         val = val + 4.0 * _gram(hv - v @ rot, (lam - mu) ** 2 / (lam + mu) if mu else lam)
     return val if val.ndim else max(float(val), 0.0)
-
-
-def qfi_white_noise(psi, generator, p: float) -> float:
-    """QFI of p|psi><psi| + (1-p) I/d under generator H, from its spectral form."""
-    return qfi(white_noise_mixture(psi, p), generator)
 
 
 def _outcomes(povm: POVM, st: Spectrum):

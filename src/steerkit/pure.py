@@ -295,8 +295,8 @@ def qubit_gap_identity(state: BipartitePureState) -> tuple[float, float]:
     return float(np.mean(gaps)), 8.0 * (1.0 - purity)
 
 
-def ancilla_invariance_check(state: BipartitePureState, ancilla_dim: int, tol: float = 1e-10) -> bool:
-    """True iff s_max/s_avg are unchanged by appending a pure ancilla to Bob."""
+def ancilla_invariance_check(state: BipartitePureState, ancilla_dim: int) -> bool:
+    """True iff s_max/s_avg are unchanged, to 1e-10, by appending a pure ancilla to Bob."""
     anc = int(ancilla_dim)
     if anc < 1:
         raise ValidationError(f"ancilla dimension must be >= 1, got {ancilla_dim}")
@@ -306,6 +306,6 @@ def ancilla_invariance_check(state: BipartitePureState, ancilla_dim: int, tol: f
     padded_mat[:, : state.d_b * anc : anc] = mat  # |b>|0>_anc occupies every anc-th column
     padded = BipartitePureState(dims=(state.d_a, state.d_b * anc), amplitudes=padded_mat.reshape(-1))
     grown = schmidt(padded).coefficients
-    ok = abs(s_max_pure(base) - s_max_pure(grown)) <= tol
-    ok &= abs(s_avg_pure(base) - s_avg_pure(grown)) <= tol
+    ok = abs(s_max_pure(base) - s_max_pure(grown)) <= 1e-10
+    ok &= abs(s_avg_pure(base) - s_avg_pure(grown)) <= 1e-10
     return bool(ok)

@@ -161,7 +161,6 @@ class ProductCheck:
     bound: float
     threshold: float
     epr_flag: bool
-    var_theta_est: float
     var_h_est: float
     run: SampleRun
 
@@ -178,7 +177,7 @@ def epr_product_check(
 ) -> ProductCheck:
     """Flag an EPR paradox when the estimator-variance product beats 1/(4n).
 
-    Var[theta_est] is empirical (from ``moment_estimator_validation``);
+    Var[theta_est] is ``run.empirical_var`` (from ``moment_estimator_validation``);
     Var[H_est] uses the optimal conditional-mean estimator, i.e. the
     conditional variance over the supplied settings.  The detection threshold
     keeps a 5-relative-standard-error guard band below 1/(4n) so statistical
@@ -197,7 +196,6 @@ def epr_product_check(
         bound=bound,
         threshold=threshold,
         epr_flag=bool(product < threshold),
-        var_theta_est=run.empirical_var,
         var_h_est=var_h_est,
         run=run,
     )

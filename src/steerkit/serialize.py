@@ -90,19 +90,19 @@ def density_to_json(rho: np.ndarray) -> dict:
     return {"type": "density_matrix", "dim": int(rho.shape[0]), "matrix": matrix_to_json(rho)}
 
 
-def state_from_json(doc: dict, path: str = "$") -> BipartitePureState:
-    _require_keys(doc, ("dims", "amplitudes"), path)
+def state_from_json(doc: dict) -> BipartitePureState:
+    _require_keys(doc, ("dims", "amplitudes"), "$")
     dims = doc["dims"]
     if not isinstance(dims, list) or len(dims) != 2 or not all(isinstance(d, int) for d in dims):
-        _fail(f"{path}.dims", f"expected [d_A, d_B] integers, got {dims!r}")
-    amps = vector_from_json(doc["amplitudes"], f"{path}.amplitudes")
+        _fail("$.dims", f"expected [d_A, d_B] integers, got {dims!r}")
+    amps = vector_from_json(doc["amplitudes"], "$.amplitudes")
 
     def _labels(key):
         raw = doc.get(key)
         if raw is None:
             return None
         if not isinstance(raw, list):
-            _fail(f"{path}.{key}", "expected a list of labels")
+            _fail(f"$.{key}", "expected a list of labels")
         return tuple(tuple(l) if isinstance(l, list) else l for l in raw)
 
     return BipartitePureState(
@@ -113,12 +113,12 @@ def state_from_json(doc: dict, path: str = "$") -> BipartitePureState:
     )
 
 
-def density_from_json(doc: dict, path: str = "$") -> np.ndarray:
-    _require_keys(doc, ("matrix",), path)
-    mat = matrix_from_json(doc["matrix"], f"{path}.matrix")
+def density_from_json(doc: dict) -> np.ndarray:
+    _require_keys(doc, ("matrix",), "$")
+    mat = matrix_from_json(doc["matrix"], "$.matrix")
     if "dim" in doc and mat.shape != (doc["dim"], doc["dim"]):
-        _fail(f"{path}.matrix", f"shape {mat.shape} does not match declared dim {doc['dim']}")
-    return require_density_matrix(mat, name=f"{path}.matrix")
+        _fail("$.matrix", f"shape {mat.shape} does not match declared dim {doc['dim']}")
+    return require_density_matrix(mat, name="$.matrix")
 
 
 def assemblage_to_json(assemblage: Assemblage) -> dict:
@@ -138,15 +138,15 @@ def assemblage_to_json(assemblage: Assemblage) -> dict:
     }
 
 
-def assemblage_from_json(doc: dict, path: str = "$") -> Assemblage:
-    _require_keys(doc, ("d_b", "settings"), path)
+def assemblage_from_json(doc: dict) -> Assemblage:
+    _require_keys(doc, ("d_b", "settings"), "$")
     if not isinstance(doc["d_b"], int) or doc["d_b"] < 1:
-        _fail(f"{path}.d_b", f"expected a positive integer, got {doc['d_b']!r}")
+        _fail("$.d_b", f"expected a positive integer, got {doc['d_b']!r}")
     if not isinstance(doc["settings"], list) or not doc["settings"]:
-        _fail(f"{path}.settings", "expected a nonempty list")
+        _fail("$.settings", "expected a nonempty list")
     recs = []
     for i, setting in enumerate(doc["settings"]):
-        spath = f"{path}.settings[{i}]"
+        spath = f"$.settings[{i}]"
         _require_keys(setting, ("label", "outcomes"), spath)
         if not isinstance(setting["outcomes"], list) or not setting["outcomes"]:
             _fail(f"{spath}.outcomes", "expected a nonempty list")

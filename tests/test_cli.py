@@ -232,6 +232,16 @@ class TestOutputs:
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_estimate_json_keys_follow_the_dataclasses(self, tmp_path):
+        from dataclasses import fields
+
+        from steerkit.sampling import ProductCheck, SampleRun
+
+        out = tmp_path / "estimate.json"
+        assert run_cli(["estimate", "--shots", "200", "--reps", "5", "--format", "json", "--out", str(out)]) == 0
+        check_fields = [f.name for f in fields(ProductCheck) if f.name != "run"]
+        assert list(json.loads(out.read_text())) == ["type", *(f.name for f in fields(SampleRun)), *check_fields]
+
     def test_witness_pure_state(self, tmp_path):
         state_path = tmp_path / "bell.json"
         save_json(state_to_json(ghz_state(2)), state_path)
@@ -404,6 +414,12 @@ class TestFlagAliases:
         assert run_cli(["ghz-noise", "--n", "2", "--noise", "0.5", "--out", str(a)]) == 0
         assert run_cli(["ghz-noise", "--n", "2", "--p", "0.5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_ghz_noise_p_is_a_second_spelling_of_noise(self):
+        from steerkit.cli import build_parser
+
+        args = build_parser().parse_args(["ghz-noise", "--n", "2", "--p", "0.5"])
+        assert args.noise == "0.5" and not hasattr(args, "p")
 
     def test_ghz_noise_requires_probability(self):
         assert run_cli(["ghz-noise", "--n", "2"]) == 2

@@ -14,14 +14,13 @@ from steerkit.metrology import (
     povm_from_basis,
     qfi,
     qfi_commutator_bound,
-    qfi_white_noise,
     var_qfi_gap,
     variance,
 )
 from steerkit.experiments import spin_x_setting
 from steerkit.pure import gellmann_basis
 from steerkit.sampling import sample_outcomes
-from steerkit.states import coherent_amplitudes, fock_space, wigner_rotation_matrix
+from steerkit.states import coherent_amplitudes, fock_space, white_noise_mixture, wigner_rotation_matrix
 
 from conftest import I2, SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian, random_pure, random_unitary, reduced_b
 
@@ -228,8 +227,8 @@ class TestQFIWhiteNoise:
     def test_endpoints(self, rng):
         v = random_pure(rng, 4)
         h = random_hermitian(rng, 4)
-        assert abs(qfi_white_noise(v, h, 1.0) - 4 * variance(v, h)) < 1e-12
-        assert qfi_white_noise(v, h, 0.0) == 0.0
+        assert abs(qfi(white_noise_mixture(v, 1.0), h) - 4 * variance(v, h)) < 1e-12
+        assert qfi(white_noise_mixture(v, 0.0), h) == 0.0
 
     def test_matches_dense_qfi(self, rng):
         for _ in range(10):
@@ -238,7 +237,7 @@ class TestQFIWhiteNoise:
             h = random_hermitian(rng, d)
             p = float(rng.uniform(0.05, 0.95))
             dense = qfi(p * outer(v) + (1 - p) * np.eye(d) / d, h)
-            closed = qfi_white_noise(v, h, p)
+            closed = qfi(white_noise_mixture(v, p), h)
             assert abs(dense - closed) < 1e-8 * max(closed, 1.0)
 
 
