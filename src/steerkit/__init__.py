@@ -13,30 +13,25 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "assemblage": (
         "Assemblage", "LHSModel", "SettingRecord", "WitnessReport", "assemblage_from_lhs",
-        "assemblage_from_pure_state", "assemblage_from_state", "bounds_check", "conditional_qfi",
-        "conditional_variance", "joint_cfi", "make_assemblage", "mix_assemblages", "reid_witness",
-        "steering_witness",
+        "assemblage_from_pure_state", "assemblage_from_state", "conditional_qfi", "conditional_variance",
+        "make_assemblage", "reid_witness", "steering_witness",
     ),
     "linalg": (
         "TOL", "NumericError", "Spectrum", "Tolerances", "ValidationError", "hermitian_eig",
         "unitary_from_generator",
     ),
-    "metrology": (
-        "POVM", "as_state", "cfi", "make_povm", "povm_from_basis", "qfi", "qfi_commutator_bound",
-        "var_qfi_gap", "variance",
-    ),
+    "metrology": ("POVM", "as_state", "make_povm", "povm_from_basis", "qfi", "variance"),
     "pure": (
         "GeneratorBasis", "SchmidtDecomposition", "ancilla_invariance_check", "gellmann_basis",
         "multi_generator_sum", "optimal_assemblage", "optimal_povm_qfi", "optimal_povm_var",
-        "pure_multi_generator_value", "qubit_gap_identity", "s_avg_pure", "s_max_lower_bound",
-        "s_max_pure", "schmidt",
+        "pure_multi_generator_value", "s_avg_pure", "s_max_lower_bound", "s_max_pure", "schmidt",
     ),
-    "sampling": ("SampleRun", "epr_product_check", "moment_estimator_validation", "sample_outcomes"),
+    "sampling": ("SampleRun", "epr_product_check", "moment_estimator_validation"),
     "states": (
         "BipartitePureState", "FockSpace", "SpinOperators", "coherent_amplitudes", "collective_jz",
         "default_fock_cutoff", "fock_space", "ghz_state", "ghz_white_noise", "ghz_white_noise_state",
-        "hybrid_cat", "spin_ops", "split_dicke_beamsplitter", "split_dicke_fixed",
-        "white_noise_mixture", "wigner_overlap", "wigner_rotation_matrix",
+        "hybrid_cat", "spin_ops", "split_dicke_fixed", "white_noise_mixture", "wigner_overlap",
+        "wigner_rotation_matrix",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

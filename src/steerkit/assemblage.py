@@ -37,7 +37,7 @@ from .linalg import (
     qr_r_by_rows,
     require_hermitian,
 )
-from .metrology import POVM, as_state, cfi, expectation, qfi, variance
+from .metrology import as_state, expectation, qfi, variance
 from .states import BipartitePureState
 
 
@@ -339,19 +339,32 @@ def steering_witness(assemblage: Assemblage, h) -> WitnessReport:
     """Evaluate the conditional QFI/variance gap; delta > tol flags steering.
 
     H is validated once here; the reduced-state bounds use Bob's reduced
-    spectrum (``Assemblage.reduced_spectrum``).
+    spectrum (``Assemblage.reduced_spectrum``).  Every report is checked
+    against the sandwich F_Q[rho_B] <= cond_qfi <= 4 Var[rho_B] and
+    F_Q[rho_B] <= 4 cond_var <= 4 Var[rho_B], each side within
+    ``TOL.sandwich`` * max(1, |value|); a violation (or a NaN) raises
+    ``NumericError``.
     """
     op = require_hermitian(h, name="H")
     cq, argmax = _best_setting(assemblage, op, setting_average_qfi, max)
     cv, argmin = _best_setting(assemblage, op, setting_average_variance, min)
     delta = cq / 4.0 - cv
     reduced = assemblage.reduced_spectrum()
+    q_red, v_red = qfi(reduced, op), variance(reduced, op)
+    for (low_name, low), (high_name, high) in (
+        (("F_Q[rho_B]", q_red), ("cond_qfi", cq)),
+        (("cond_qfi", cq), ("4 Var[rho_B]", 4.0 * v_red)),
+        (("F_Q[rho_B]", q_red), ("4 cond_var", 4.0 * cv)),
+        (("4 cond_var", 4.0 * cv), ("4 Var[rho_B]", 4.0 * v_red)),
+    ):
+        if not low - high <= TOL.sandwich * max(1.0, abs(low), abs(high)):
+            raise NumericError(f"sandwich bound violated: {low_name} = {low!r} > {high_name} = {high!r}")
     return WitnessReport(
         cond_qfi=cq,
         cond_var=cv,
         delta=delta,
-        qfi_reduced=qfi(reduced, op),
-        var_reduced=variance(reduced, op),
+        qfi_reduced=q_red,
+        var_reduced=v_red,
         argmax_setting=argmax,
         argmin_setting=argmin,
         steering=bool(delta > TOL.witness),
@@ -381,42 +394,3 @@ def reid_witness(assemblage: Assemblage, h, m) -> tuple[float, float]:
             )
     return lhs, rhs
 
-
-def joint_cfi(assemblage: Assemblage, setting_label: str, povm_b: POVM, h) -> float:
-    """Fixed-settings Fisher information sum_a p(a|X) F[povm_B, rho_a, H]."""
-    op = require_hermitian(h, name="H")
-    rec = assemblage.setting(setting_label)
-    total = 0.0
-    for p, st in zip(rec.probabilities, rec.states):
-        total += p * cfi(povm_b, st, op)
-    return total
-
-
-def bounds_check(report: WitnessReport) -> bool:
-    """F_Q[rho_B] <= cond_qfi <= 4 Var[rho_B] and the mirrored variance chain, each within 1e-9."""
-    q_red, cq, v_red, cv = report.qfi_reduced, report.cond_qfi, 4.0 * report.var_reduced, 4.0 * report.cond_var
-    if not all(np.isfinite(v) for v in (q_red, cq, v_red, cv)):
-        return False
-    return bool(q_red <= cq + 1e-9 and cq <= v_red + 1e-9 and q_red <= cv + 1e-9 and cv <= v_red + 1e-9)
-
-
-def mix_assemblages(first: Assemblage, second: Assemblage, weight: float) -> Assemblage:
-    """Classical mixture weight * A1 + (1 - weight) * A2, outcome label by outcome label.
-
-    Each setting's outcomes are matched by label, taken in order of first
-    appearance; an outcome present in only one assemblage enters with
-    probability 0 from the other.  Each mixed block is the ``_stacked`` factor of the spectra it sums.
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValidationError(f"weight must be in [0, 1], got {weight}")
-    if first.d_b != second.d_b or first.labels != second.labels:
-        raise ValidationError("assemblages must share Bob dimension and setting labels")
-    recs = []
-    for rec1, rec2 in zip(first.settings, second.settings):
-        terms: dict[str, list] = {}  # label -> (t p, spectrum) pairs
-        for t, rec in ((weight, rec1), (1.0 - weight, rec2)):
-            for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states):
-                terms.setdefault(lab, []).append((t * p, st))
-        weighted = (_block(*_stacked(*zip(*pairs))) for pairs in terms.values())
-        recs.append(_setting(rec1.label, terms.keys(), weighted))
-    return make_assemblage(recs, first.d_b)

@@ -49,7 +49,7 @@ from .states import (
 
 MAX_QUANTIFY_POINTS = 1_000_000  # d = 3 simplex grid points: step 0.001 (501,501 points) fits
 MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
-MAX_SPLIT_DICKE_N = 2000  # about 4.4 s and 180 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
+MAX_SPLIT_DICKE_N = 2000  # about 5.1 s and 182 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
 MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
 MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9: 0.3 s, 66 MB
 

@@ -38,7 +38,6 @@ class Tolerances:
 
     herm: float = 1e-12           # max-abs deviation from the conjugate transpose
     psd: float = -1e-10           # smallest admissible eigenvalue of a PSD operator
-    recon: float = 1e-10          # eigendecomposition reconstruction error
     trace: float = 1e-12          # deviation of a density-matrix trace from 1
     norm: float = 1e-12           # deviation of a state vector's squared norm from 1
     prob_sum: float = 1e-10       # deviation of per-setting outcome probabilities from 1
@@ -48,6 +47,7 @@ class Tolerances:
     qfi_eigen: float = 1e-12      # eigenvalue-pair cutoff in the QFI spectral sum
     prob_floor: float = 1e-14     # outcomes below this probability are dropped
     witness: float = 1e-9         # steering-detection threshold on the witness gap
+    sandwich: float = 1e-9        # relative slack, times max(1, |value|), of a witness report's sandwich bounds
 
 
 TOL = Tolerances()

@@ -1,4 +1,4 @@
-"""Core metrological functionals: variance, quantum/classical Fisher information.
+"""Core metrological functionals: expectation, variance and quantum Fisher information.
 
 Every functional works on the spectral form
 rho = V diag(lam) V^dag + mu (I - V V^dag) of a state (``linalg.Spectrum``):
@@ -13,8 +13,9 @@ the row scaling h[:, None] * V, the floor terms are sum h and sum h^2, and
 the cost is O(d r).  ``variance`` and ``qfi`` also take a stack (n, d, d) of
 operators and return the n x n covariance or QFI matrix, from the same
 formulas.  A POVM is
-stored as one factor K_a per outcome, E_a = K_a K_a^dag, so outcome
-probabilities come from K_a^dag V and no effect is formed as a d x d matrix.
+stored as one factor K_a per outcome, E_a = K_a K_a^dag, so conditioning on
+an outcome (``assemblage``) reads it through K_a^dag and no effect is formed
+as a d x d matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .linalg import (
     Spectrum,
     ValidationError,
     as_complex_matrix,
-    commutator,
     dagger,
     require_hermitian,
     require_state_vector,
@@ -244,97 +244,3 @@ def qfi(state, generators):
         val = val + 4.0 * _gram(hv - v @ rot, (lam - mu) ** 2 / (lam + mu) if mu else lam)
     return val if val.ndim else max(float(val), 0.0)
 
-
-def _outcomes(povm: POVM, st: Spectrum):
-    """(label, K_a^dag, K_a^dag V, p_a) per outcome a, where p_a = tr(E_a rho)
-    = sum_i (lam_i - mu) ||K_a^dag v_i||^2 + mu ||K_a||_F^2 forms no d x d effect."""
-    if povm.dim != st.dim:
-        raise ValidationError(f"POVM dimension {povm.dim} does not match state dimension {st.dim}")
-    w = st.eigenvalues - st.floor
-    for lab, k in zip(povm.labels, povm.factors):
-        rows = dagger(k)
-        kv = rows @ st.eigenvectors
-        p = float(w @ np.vecdot(kv, kv, axis=0).real)
-        if st.floor:
-            p += st.floor * float(np.vdot(k, k).real)
-        yield lab, rows, kv, p
-
-
-def cfi(povm: POVM, state, generator) -> float:
-    """Classical Fisher information at theta = 0 of p(x|theta) = tr[E_x rho_theta].
-
-    The derivative is analytic: d_theta p(x|0) = -i tr(E_x [H, rho])
-    = 2 sum_i (lam_i - floor) Im <K_x^dag v_i|K_x^dag H v_i>: the floor's
-    identity part commutes with H.
-    Outcomes with p < prob_floor and |dp| < prob_floor contribute 0; an
-    outcome with p < prob_floor but |dp| >= prob_floor makes the Fisher
-    information singular and raises.
-    """
-    st, _, hv = _rotate(state, _one(generator, "generator"), "generator")
-    w = st.eigenvalues - st.floor
-    total = 0.0
-    for lab, rows, kv, p in _outcomes(povm, st):
-        dp = 2.0 * float(w @ np.vecdot(kv, rows @ hv, axis=0).imag)
-        if p < TOL.prob_floor:
-            if abs(dp) < TOL.prob_floor:
-                continue
-            raise NumericError(
-                f"outcome {lab!r} has vanishing probability but |dp/dtheta| = {abs(dp):.3e}: "
-                "Fisher information is singular"
-            )
-        total += dp * dp / p
-    return total
-
-
-def qfi_commutator_bound(state, generator, observable) -> float:
-    """Moment-based lower bound |<[H, M]>|^2 / Var[rho, M] on the QFI."""
-    h = _one(generator, "generator")
-    m = _one(observable, "observable")
-    st = as_state(state)
-    var_m = variance(st, m)
-    if var_m <= 1e-14:
-        raise NumericError("Var[rho, M] vanishes; the commutator bound is undefined")
-    return expectation(st, commutator(h, m)) ** 2 / var_m
-
-
-def var_qfi_gap(state, generator):
-    """Var - F_Q/4 via its explicit nonnegative decomposition.
-
-    Returns ``(gap, saturated)``.  Over the full eigenbasis (eigenvalues p_a)
-    the gap is 2 sum_{a != b} p_a p_b/(p_a+p_b) |H_ab|^2 + Var_p(H_aa); this
-    avoids the cancellation of subtracting two large functionals.  On the
-    columns it is computed term by term; the complement P of eigenvalue
-    mu = floor adds 4 mu sum_i l_i/(l_i+mu) ||P H v_i||^2 + mu ||P (H - <H>) P||_F^2.
-    The gap vanishes exactly when Pi H Pi is proportional to Pi on the
-    support Pi of rho, which is the whole space when mu > ``TOL.qfi_eigen``.
-    """
-    st, op, hv = _rotate(state, _one(generator, "generator"), "generator")
-    lam, mu = st.eigenvalues, st.floor
-    h_eig = dagger(st.eigenvectors) @ hv
-    pair_sum = lam[:, None] + lam[None, :]
-    mask = pair_sum > TOL.qfi_eigen
-    np.fill_diagonal(mask, False)
-    prod = lam[:, None] * lam[None, :]
-    weights = np.zeros_like(pair_sum)
-    weights[mask] = prod[mask] / pair_sum[mask]
-    h2 = np.abs(h_eig) ** 2
-    off_part = 2.0 * float(np.sum(weights * h2))
-    diag = h_eig.diagonal().real
-    rest = float(_trace(op) - diag.sum()) if mu else 0.0  # tr(P H)
-    mean_diag = float(np.dot(lam, diag)) + mu * rest
-    gap = off_part + float(np.dot(lam, (diag - mean_diag) ** 2))
-    if mu:
-        norms = np.vecdot(hv, hv, axis=0).real
-        leak = norms - h2.sum(axis=1)
-        inside = float(np.vdot(op, op).real - 2.0 * norms.sum() + h2.sum())
-        centred = inside - 2.0 * mean_diag * rest + mean_diag**2 * (st.dim - lam.size)
-        gap += 4.0 * mu * float((lam / (lam + mu)) @ leak) + mu * centred
-
-    support = lam > TOL.qfi_eigen
-    h_sub = op if mu > TOL.qfi_eigen else h_eig[np.ix_(support, support)]  # H on the support of rho
-    r = h_sub.shape[0]
-    if not r:
-        return gap, False
-    diagonal = h_sub.ndim == 1
-    c = (h_sub.sum() if diagonal else np.trace(h_sub)) / r
-    return gap, bool(np.max(np.abs(h_sub - c if diagonal else h_sub - c * np.eye(r))) < 1e-9)

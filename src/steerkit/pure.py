@@ -22,7 +22,7 @@ from .assemblage import (
     setting_average_qfi,
     setting_average_variance,
 )
-from .linalg import NumericError, ValidationError, dagger, require_hermitian
+from .linalg import ValidationError, dagger, require_hermitian
 from .metrology import POVM, povm_from_basis
 from .states import BipartitePureState
 
@@ -261,7 +261,10 @@ def pure_multi_generator_value(p) -> float:
 
 
 def qubit_direction_gap(state: BipartitePureState, direction) -> float:
-    """cond_qfi - 4 cond_var for H = n . sigma with both optimal settings."""
+    """cond_qfi - 4 cond_var for H = n . sigma with both optimal settings.
+
+    For every direction n this is 8 (1 - tr[rho_B^2]), the qubit gap identity.
+    """
     if state.d_b != 2:
         raise ValidationError("the qubit gap identity needs d_B = 2")
     n = np.asarray(direction, dtype=float)
@@ -274,25 +277,6 @@ def qubit_direction_gap(state: BipartitePureState, direction) -> float:
     cq, _ = conditional_qfi(asm, h)
     cv, _ = conditional_variance(asm, h)
     return cq - 4.0 * cv
-
-
-def qubit_gap_identity(state: BipartitePureState) -> tuple[float, float]:
-    """Direction-independent gap identity for qubit Bob.
-
-    Returns (lhs, rhs) with lhs the average of cond_qfi - 4 cond_var over ten
-    generator directions on a golden-angle spiral and
-    rhs = 8 (1 - tr[(rho_B)^2]).  Direction dependence beyond 1e-8 raises.
-    """
-    golden = np.pi * (3.0 - math.sqrt(5.0))
-    gaps = []
-    for i in range(10):
-        z = 1.0 - 2.0 * (i + 0.5) / 10.0
-        r = math.sqrt(max(1.0 - z * z, 0.0))
-        gaps.append(qubit_direction_gap(state, (r * math.cos(golden * i), r * math.sin(golden * i), z)))
-    if max(gaps) - min(gaps) > 1e-8:
-        raise NumericError(f"gap varies with direction by {max(gaps) - min(gaps):.3e}")
-    purity = float(np.sum(schmidt(state).coefficients ** 2))
-    return float(np.mean(gaps)), 8.0 * (1.0 - purity)
 
 
 def ancilla_invariance_check(state: BipartitePureState, ancilla_dim: int) -> bool:

@@ -1,8 +1,9 @@
 """Stochastic validation of the estimator-level claims.
 
-Outcome sampling uses a counter-based Philox generator keyed by an explicit
-64-bit seed; repetition r of a run draws from Philox(key=(seed, r)), so
-repetitions are reproducible independently of evaluation order.
+Each repetition's outcome counts come from a counter-based Philox generator
+keyed by an explicit 64-bit seed; repetition r of a run draws from
+Philox(key=(seed, r)), so repetitions are reproducible independently of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -13,26 +14,14 @@ import numpy as np
 
 from .assemblage import Assemblage, conditional_variance
 from .linalg import NumericError, Spectrum, ValidationError, commutator, hermitian_eig, require_hermitian, unitary_from_generator
-from .metrology import POVM, _outcomes, as_state, expectation, variance
+from .metrology import expectation, variance
 
 _FD_STEP = 1e-5  # finite-difference step for the derivative cross-check
 
 
-def _rng(*key_words: int) -> np.random.Generator:
-    key = np.zeros(2, dtype=np.uint64)
-    for i, word in enumerate(key_words[:2]):
-        key[i] = np.uint64(word % (1 << 64))
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_outcomes(state, povm: POVM, n: int, rng_seed: int) -> np.ndarray:
-    """Multinomial outcome counts for measuring ``povm`` on ``state``."""
-    probs = np.array([p for *_, p in _outcomes(povm, as_state(state))])
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {probs.sum():.12f}, not 1")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return _rng(int(rng_seed)).multinomial(int(n), probs)
+def _rng(seed: int, rep: int) -> np.random.Generator:
+    """Philox keyed by (seed, rep), each word taken mod 2^64."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed % (1 << 64), rep % (1 << 64)], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)

@@ -220,15 +220,6 @@ def split_dicke_fixed(k: int, n_a: int, n_b: int) -> BipartitePureState:
     )
 
 
-def partition_labels(n: int) -> tuple[tuple, ...]:
-    """All (particle number, excitation) sector labels for one side of a split.
-
-    Enumerates every (N_X, k_X) with 0 <= k_X <= N_X <= n; measurement bases
-    that rotate within a particle-number sector are complete on this space.
-    """
-    return tuple((n_x, k_x) for n_x in range(n + 1) for k_x in range(n_x + 1))
-
-
 @lru_cache(maxsize=16)
 def _log_factorials(n: int) -> np.ndarray:
     """log(m!) = lgamma(m + 1) for m = 0..n, read-only."""
@@ -258,35 +249,6 @@ def partition_sector_amplitudes(n: int, k, p: float, n_a: int) -> np.ndarray:
     log_p = n_a * math.log(p) + (n - n_a) * math.log1p(-p) if 0.0 < p < 1.0 else 0.0
     log_w = (lf[k] - lf[k_a] - lf[k_b] + lf[n - k] - lf[n_a - k_a] - lf[n - n_a - k_b]) + log_p
     return np.where(inside, np.exp(0.5 * log_w), 0.0)
-
-
-def split_dicke_beamsplitter(k: int, n: int, p: float) -> BipartitePureState:
-    """Dicke state with k excitations sent through a p : 1-p beam splitter.
-
-    Both sides carry the full (particle number, excitations) sector basis,
-    with the amplitudes of ``partition_sector_amplitudes``.
-    """
-    k, n = int(k), int(n)
-    if n < 1 or not 0 <= k <= n:
-        raise ValidationError(f"invalid Dicke parameters k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"splitting ratio must be in [0, 1], got {p}")
-    labels = partition_labels(n)
-    index = {lab: i for i, lab in enumerate(labels)}
-    d = len(labels)
-    mat = np.zeros((d, d), dtype=complex)
-    for n_a in range(n + 1):
-        for k_a, amp in enumerate(partition_sector_amplitudes(n, k, p, n_a)):
-            if amp:
-                mat[index[(n_a, k_a)], index[(n - n_a, k - k_a)]] = amp
-    vec = mat.reshape(-1)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValidationError(f"beam-splitter amplitudes normalize to {norm}, not 1")
-    vec = vec / norm
-    return BipartitePureState(
-        dims=(d, d), amplitudes=vec, basis_labels_a=labels, basis_labels_b=labels
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,16 @@ class TestExitCodes:
         code = run_cli(["ghz", "--n", "2", "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
 
+    def test_sandwich_violation_is_3(self, monkeypatch, witness_files, capsys):
+        import steerkit.assemblage as module
+
+        true_qfi = module.qfi
+        # doubling every QFI lifts cond_qfi of the Bell assemblage above 4 Var[rho_B] = 4
+        monkeypatch.setattr(module, "qfi", lambda st, h: 2.0 * true_qfi(st, h))
+        argv = ["witness", str(witness_files / "asm.json"), "--observable", str(witness_files / "obs.json")]
+        assert run_cli(argv + ["--out", str(witness_files / "o.json")]) == 3
+        assert "sandwich bound violated" in capsys.readouterr().err
+
     def test_numeric_failure_is_3(self, monkeypatch):
         from steerkit import cli
         from steerkit.linalg import NumericError

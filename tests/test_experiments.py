@@ -23,11 +23,9 @@ from steerkit.experiments import (
 from steerkit.linalg import ValidationError
 from steerkit.metrology import povm_from_basis, qfi, variance
 from steerkit.pure import s_avg_pure, s_max_pure
-from steerkit.states import (
-    spin_ops,
-    split_dicke_beamsplitter,
-    wigner_rotation_matrix,
-)
+from steerkit.states import spin_ops, wigner_rotation_matrix
+
+from conftest import split_dicke_beamsplitter
 
 
 def partition_generic_assemblage(n, k, p):

@@ -17,7 +17,7 @@ from conftest import I2, SX, SZ, partial_trace, random_density, random_hermitian
 def test_tolerance_policy_values():
     assert TOL.herm == 1e-12
     assert TOL.psd == -1e-10
-    assert TOL.recon == 1e-10
+    assert TOL.sandwich == 1e-9
 
 
 class TestValidation:
@@ -85,9 +85,9 @@ class TestHermitianEig:
         for d in (2, 5, 17, 64):
             h = random_hermitian(rng, d)
             spec = hermitian_eig(h)
-            assert np.max(np.abs(spec.reconstruct() - h)) < TOL.recon
+            assert np.max(np.abs(spec.reconstruct() - h)) < 1e-10
             gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-            assert np.max(np.abs(gram - np.eye(d))) < TOL.recon
+            assert np.max(np.abs(gram - np.eye(d))) < 1e-10
 
 
 class TestTensor:

@@ -62,7 +62,7 @@ class TestLazyPackage:
 
     def test_dir_lists_the_exported_names_before_any_is_used(self):
         listed, exported = run_fresh("import json, steerkit; print(json.dumps([dir(steerkit), steerkit.__all__]))")
-        assert len(set(exported)) == len(exported) == 66
+        assert len(set(exported)) == len(exported) == 57
         assert set(exported) <= set(listed)
         assert "__version__" in listed and listed == sorted(listed)
 

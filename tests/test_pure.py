@@ -19,12 +19,10 @@ from steerkit.pure import (
     assemblage_delta,
     gellmann_basis,
     multi_generator_sum,
-    optimal_assemblage,
     optimal_povm_qfi,
     optimal_povm_var,
     pure_multi_generator_value,
     qubit_direction_gap,
-    qubit_gap_identity,
     s_avg_pure,
     s_max_lower_bound,
     s_max_pure,
@@ -407,27 +405,33 @@ class TestMultiGenerator:
             assert abs(value - pure_multi_generator_value(p)) < 1e-8 * max(value, 1.0)
 
 
+DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0.3, -2.0, 0.7))
+
+
+def qubit_gaps(state):
+    """cond_qfi - 4 cond_var over ``DIRECTIONS``, and the identity's 8 (1 - tr[rho_B^2])."""
+    gaps = np.array([qubit_direction_gap(state, n) for n in DIRECTIONS])
+    return gaps, 8.0 * (1.0 - float(np.sum(schmidt(state).coefficients ** 2)))
+
+
 class TestQubitGap:
     def test_product_state_zero(self):
-        state = pure_state_with_spectrum([1.0, 0.0])
-        lhs, rhs = qubit_gap_identity(state)
-        assert abs(lhs) < 1e-10
+        gaps, rhs = qubit_gaps(pure_state_with_spectrum([1.0, 0.0]))
+        assert np.max(np.abs(gaps)) < 1e-10
         assert abs(rhs) < 1e-12
 
     def test_bell_state_four(self):
-        lhs, rhs = qubit_gap_identity(ghz_state(2))
-        assert abs(lhs - 4.0) < 1e-8
+        gaps, rhs = qubit_gaps(ghz_state(2))
+        assert np.max(np.abs(gaps - 4.0)) < 1e-8
         assert abs(rhs - 4.0) < 1e-12
 
     def test_random_states_match_purity(self, rng):
         for _ in range(10):
-            state = BipartitePureState(dims=(2, 2), amplitudes=random_pure(rng, 4))
-            lhs, rhs = qubit_gap_identity(state)
-            assert abs(lhs - rhs) < 1e-8
+            gaps, rhs = qubit_gaps(BipartitePureState(dims=(2, 2), amplitudes=random_pure(rng, 4)))
+            assert np.max(np.abs(gaps - rhs)) < 1e-8
 
     def test_direction_independent(self, rng):
-        state = BipartitePureState(dims=(2, 2), amplitudes=random_pure(rng, 4))
-        gaps = [qubit_direction_gap(state, n) for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+        gaps, _ = qubit_gaps(BipartitePureState(dims=(2, 2), amplitudes=random_pure(rng, 4)))
         assert max(gaps) - min(gaps) < 1e-8
 
     def test_swapped_cat_purity_curve(self):
@@ -438,15 +442,15 @@ class TestQubitGap:
             swapped = BipartitePureState(
                 dims=(cat.d_b, 2), amplitudes=cat.matrix.T.reshape(-1)
             )
-            lhs, rhs = qubit_gap_identity(swapped)
+            gaps, rhs = qubit_gaps(swapped)
             target = 4.0 * (1.0 - math.exp(-4.0 * alpha**2))
             assert abs(rhs - target) < 1e-10
-            assert abs(lhs - target) < 1e-8
+            assert np.max(np.abs(gaps - target)) < 1e-8
 
     def test_rejects_larger_bob(self, rng):
         state = BipartitePureState(dims=(2, 3), amplitudes=random_pure(rng, 6))
         with pytest.raises(ValidationError):
-            qubit_gap_identity(state)
+            qubit_direction_gap(state, (0, 0, 1))
 
 
 class TestAncilla:

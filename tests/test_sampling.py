@@ -6,45 +6,13 @@ import pytest
 from steerkit.assemblage import assemblage_from_state
 from steerkit.experiments import bell_assemblage, ghz_assemblage, qubit_basis_povm, split_dicke_assemblage
 from steerkit.linalg import NumericError, ValidationError
-from steerkit.metrology import povm_from_basis, variance
-from steerkit.sampling import epr_product_check, moment_estimator_validation, sample_outcomes
-from steerkit.states import collective_jz, spin_ops, split_dicke_fixed, wigner_rotation_matrix
+from steerkit.metrology import variance
+from steerkit.sampling import epr_product_check, moment_estimator_validation
+from steerkit.states import collective_jz, spin_ops
 
-from conftest import SX, SY, SZ, outer, partial_trace, random_density, random_floored_state, random_hermitian, tensor
+from conftest import SX, SY, SZ, outer, random_density, random_floored_state, random_hermitian, tensor
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
-
-
-class TestSampleOutcomes:
-    def test_eigenstate_concentrates(self):
-        counts = sample_outcomes(np.array([1.0, 0.0]), povm_from_basis(np.eye(2)), 1000, 7)
-        assert counts[0] == 1000 and counts[1] == 0
-
-    def test_plus_state_frequencies(self):
-        n = 100_000
-        counts = sample_outcomes(PLUS, povm_from_basis(np.eye(2)), n, 11)
-        # 5 sigma binomial window around 1/2
-        sigma = math.sqrt(n * 0.25)
-        assert abs(counts[0] - n / 2) < 5 * sigma
-
-    def test_split_twin_fock_x_readout(self):
-        n_tot = 4
-        state = split_dicke_fixed(n_tot // 2, n_tot // 2, n_tot // 2)
-        rho_a = partial_trace(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims, "A")
-        basis = np.asarray(wigner_rotation_matrix(n_tot // 2, math.pi / 2)).astype(complex)
-        n = 100_000
-        counts = sample_outcomes(rho_a, povm_from_basis(basis), n, 23)
-        p_ref = 2.0 / (n_tot + 2.0)
-        sigma = math.sqrt(n * p_ref * (1 - p_ref))
-        for c in counts:
-            assert abs(c - n * p_ref) < 5 * sigma
-
-    def test_reproducible(self):
-        a = sample_outcomes(PLUS, povm_from_basis(np.eye(2)), 5000, 99)
-        b = sample_outcomes(PLUS, povm_from_basis(np.eye(2)), 5000, 99)
-        assert np.array_equal(a, b)
-        c = sample_outcomes(PLUS, povm_from_basis(np.eye(2)), 5000, 100)
-        assert not np.array_equal(a, c)
 
 
 def plus_state_assemblage():
@@ -220,13 +188,6 @@ class TestDiagonalOperators:
                 moment_estimator_validation(asm, SZ / 2, bad, n=100, reps=5, seed=1)
 
 
-class TestSamplingErrors:
-    def test_probabilities_must_sum_to_one(self):
-        bad_state = np.diag([0.7, 0.2]).astype(complex)  # trace 0.9
-        with pytest.raises(ValidationError, match="sum"):
-            sample_outcomes(bad_state, povm_from_basis(np.eye(2)), 100, 1)
-
-
 class TestFloor:
     """Sampling from a floored state draws what its dense reconstruction draws."""
 
@@ -242,5 +203,3 @@ class TestFloor:
         ]
         assert np.allclose(runs[0].estimates, runs[1].estimates, rtol=1e-9, atol=0)
         assert abs(runs[0].predicted_var - runs[1].predicted_var) <= 1e-12 * runs[1].predicted_var
-        povm = povm_from_basis(np.eye(6))
-        assert np.array_equal(sample_outcomes(st, povm, 10_000, 5), sample_outcomes(st.reconstruct(), povm, 10_000, 5))

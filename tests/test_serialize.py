@@ -23,7 +23,7 @@ from steerkit.serialize import (
 )
 from steerkit.states import BipartitePureState, ghz_state
 
-from conftest import SZ, random_density
+from conftest import SZ, random_density, split_dicke_beamsplitter
 
 
 class TestStateRoundTrip:
@@ -37,8 +37,6 @@ class TestStateRoundTrip:
         assert np.array_equal(loaded.amplitudes, state.amplitudes)
 
     def test_labels_round_trip(self, tmp_path):
-        from steerkit.states import split_dicke_beamsplitter
-
         state = split_dicke_beamsplitter(2, 4, 0.4)
         path = tmp_path / "sd.json"
         save_json(state_to_json(state), path)

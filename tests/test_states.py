@@ -20,13 +20,12 @@ from steerkit.states import (
     ghz_white_noise_state,
     hybrid_cat,
     spin_ops,
-    split_dicke_beamsplitter,
     split_dicke_fixed,
     wigner_overlap,
     wigner_rotation_matrix,
 )
 
-from conftest import partial_trace, random_density, reduced_b
+from conftest import partial_trace, random_density, reduced_b, split_dicke_beamsplitter
 
 
 class TestSpinOps:
