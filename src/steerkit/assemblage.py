@@ -335,62 +335,74 @@ class WitnessReport:
     steering: bool
 
 
+def witness_report(cond_qfi: float, argmax: str, cond_var: float, argmin: str, reduced, marginal=None) -> WitnessReport:
+    """The one constructor of ``WitnessReport``: delta, steering, and the sandwich bounds checked.
+
+    ``reduced`` is (F_Q[rho_B], Var[rho_B]) of Bob's marginal.  F_Q[rho_B] <=
+    cond_qfi <= 4 Var[rho_B] and F_Q[rho_B] <= 4 cond_var <= 4 Var[rho_B] must
+    hold, each side within ``TOL.sandwich`` * max(1, |value|).  Settings may
+    disagree on the marginal by up to ``TOL.no_signal``, enough to tip a tight
+    bound, so a bound that fails is checked again against ``marginal(label)``
+    when given: the (F_Q, Var) of the marginal of the setting it concerns
+    (argmax for cond_qfi, argmin for cond_var).  A bound that fails there too,
+    or a NaN, raises ``NumericError``.
+    """
+
+    def values(q_red, v_red):
+        return {"cond_qfi": cond_qfi, "4 cond_var": 4.0 * cond_var, "F_Q[rho_B]": q_red, "4 Var[rho_B]": 4.0 * v_red}
+
+    def holds(vals, low, high):
+        return vals[low] - vals[high] <= TOL.sandwich * max(1.0, abs(vals[low]), abs(vals[high]))
+
+    first = values(*reduced)
+    for label, middle in ((argmax, "cond_qfi"), (argmin, "4 cond_var")):
+        for low, high in (("F_Q[rho_B]", middle), (middle, "4 Var[rho_B]")):
+            vals = first
+            if not holds(vals, low, high) and marginal is not None:
+                vals = values(*marginal(label))
+            if not holds(vals, low, high):
+                raise NumericError(f"sandwich bound violated: {low} = {vals[low]!r} > {high} = {vals[high]!r}")
+    delta = cond_qfi / 4.0 - cond_var
+    return WitnessReport(
+        cond_qfi=cond_qfi, cond_var=cond_var, delta=delta, qfi_reduced=reduced[0], var_reduced=reduced[1],
+        argmax_setting=argmax, argmin_setting=argmin, steering=bool(delta > TOL.witness),
+    )
+
+
 def steering_witness(assemblage: Assemblage, h) -> WitnessReport:
     """Evaluate the conditional QFI/variance gap; delta > tol flags steering.
 
-    H is validated once here; the reduced-state bounds use Bob's reduced
-    spectrum (``Assemblage.reduced_spectrum``).  Every report is checked
-    against the sandwich F_Q[rho_B] <= cond_qfi <= 4 Var[rho_B] and
-    F_Q[rho_B] <= 4 cond_var <= 4 Var[rho_B], each side within
-    ``TOL.sandwich`` * max(1, |value|); a violation (or a NaN) raises
-    ``NumericError``.
+    H is validated once here.  The reduced-state values come from the first
+    setting's marginal (``Assemblage.reduced_spectrum``), and a sandwich bound
+    that fails against it is checked again against the argmax's or argmin's
+    own (``witness_report``).
     """
     op = require_hermitian(h, name="H")
     cq, argmax = _best_setting(assemblage, op, setting_average_qfi, max)
     cv, argmin = _best_setting(assemblage, op, setting_average_variance, min)
-    delta = cq / 4.0 - cv
+
+    def marginal(label):
+        st = factor_spectrum(*assemblage.setting(label).factor())
+        return qfi(st, op), variance(st, op)
+
     reduced = assemblage.reduced_spectrum()
-    q_red, v_red = qfi(reduced, op), variance(reduced, op)
-    for (low_name, low), (high_name, high) in (
-        (("F_Q[rho_B]", q_red), ("cond_qfi", cq)),
-        (("cond_qfi", cq), ("4 Var[rho_B]", 4.0 * v_red)),
-        (("F_Q[rho_B]", q_red), ("4 cond_var", 4.0 * cv)),
-        (("4 cond_var", 4.0 * cv), ("4 Var[rho_B]", 4.0 * v_red)),
-    ):
-        if not low - high <= TOL.sandwich * max(1.0, abs(low), abs(high)):
-            raise NumericError(f"sandwich bound violated: {low_name} = {low!r} > {high_name} = {high!r}")
-    return WitnessReport(
-        cond_qfi=cq,
-        cond_var=cv,
-        delta=delta,
-        qfi_reduced=q_red,
-        var_reduced=v_red,
-        argmax_setting=argmax,
-        argmin_setting=argmin,
-        steering=bool(delta > TOL.witness),
-    )
+    return witness_report(cq, argmax, cv, argmin, (qfi(reduced, op), variance(reduced, op)), marginal)
 
 
 def reid_witness(assemblage: Assemblage, h, m) -> tuple[float, float]:
     """Inference-variance product vs the commutator bound |<[H, M]>|^2 / 4.
 
-    Returns (lhs, rhs); lhs < rhs flags a Reid EPR paradox.  Also verifies
+    Returns (lhs, rhs); lhs < rhs flags a Reid EPR paradox.  cond_var(H) and
+    cond_qfi(H) are read off ``steering_witness``'s report.  Also verifies
     the moment-bound chain |<[H,M]>|^2 / cond_var(M) <= cond_qfi(H) as an
     internal consistency check.
     """
     h = require_hermitian(h, name="H")
     m = require_hermitian(m, name="M")
-    cv_h, _ = _best_setting(assemblage, h, setting_average_variance, min)
+    report = steering_witness(assemblage, h)
     cv_m, _ = _best_setting(assemblage, m, setting_average_variance, min)
     # <[H, M]> = sum_i lam_i <v_i|[H, M]|v_i> on Bob's reduced spectrum; -i[H, M] is Hermitian
     comm_sq = expectation(assemblage.reduced_spectrum(), commutator(h, m)) ** 2
-    rhs = comm_sq / 4.0
-    lhs = cv_h * cv_m
-    if cv_m > 1e-14:
-        cq_h, _ = _best_setting(assemblage, h, setting_average_qfi, max)
-        if comm_sq / cv_m > cq_h + TOL.witness:
-            raise NumericError(
-                "commutator lower bound exceeded the conditional QFI; numerics are inconsistent"
-            )
-    return lhs, rhs
-
+    if cv_m > 1e-14 and comm_sq / cv_m > report.cond_qfi + TOL.witness:
+        raise NumericError("commutator lower bound exceeded the conditional QFI; numerics are inconsistent")
+    return report.cond_var * cv_m, comm_sq / 4.0

@@ -160,26 +160,24 @@ def _split_dicke_partition(args):
 
 
 def _cmd_estimate(args):
+    from dataclasses import fields
+
     from .experiments import estimate_run
 
     check = estimate_run(theta=args.theta, shots=args.shots, reps=args.reps, seed=args.seed)
     if args.format == "json":
-        from dataclasses import fields
-
         from .serialize import sample_run_to_json
 
         doc = sample_run_to_json(check.run)
         doc.update((f.name, getattr(check, f.name)) for f in fields(check) if f.name != "run")
         write_json_doc(doc, args.out)
         return
-    header = ["rep", "estimate"]
+    # the summary rows: every number of the run, then of the check, in field order
     rows = [[i, float(v)] for i, v in enumerate(check.run.estimates)]
-    rows.append(["summary:empirical_var", check.run.empirical_var])
-    rows.append(["summary:predicted_var", check.run.predicted_var])
-    rows.append(["summary:product", check.product])
-    rows.append(["summary:bound", check.bound])
-    rows.append(["summary:epr_flag", int(check.epr_flag)])
-    write_csv(header, rows, args.out)
+    rows += [
+        [f"summary:{f.name}", getattr(x, f.name)] for x in (check.run, check) for f in fields(x) if f.type in ("int", "float", "bool")
+    ]
+    write_csv(["rep", "estimate"], rows, args.out)
 
 
 def _witness_input(path: str) -> Assemblage | BipartitePureState:

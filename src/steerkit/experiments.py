@@ -9,23 +9,24 @@ table (all ks at once, one pass per N_A sector) and the ``quantify`` simplex
 Every size a table takes is checked against its limit before any row is
 computed: GHZ qubits against ``states.MAX_STATE_BYTES``, and
 ``MAX_QUANTIFY_POINTS``, ``MAX_MULTIGEN_D``, ``MAX_SPLIT_DICKE_N``,
-``MAX_PARTITION_N`` and ``MAX_FOCK_CUTOFF`` below.
+``MAX_PARTITION_N``, ``MAX_FOCK_CUTOFF``, ``MAX_ESTIMATE_SHOTS`` and
+``MAX_ESTIMATE_REPS`` below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .assemblage import (
     Assemblage,
+    WitnessReport,
     assemblage_from_pure_state,
     assemblage_from_state,
-    conditional_qfi,
     conditional_variance,
     steering_witness,
+    witness_report,
 )
 from .linalg import TOL, NumericError, ValidationError
 from .metrology import POVM, povm_from_basis, qfi
@@ -52,6 +53,8 @@ MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
 MAX_SPLIT_DICKE_N = 2000  # about 5.1 s and 182 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
 MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
 MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9: 0.3 s, 66 MB
+MAX_ESTIMATE_SHOTS = 2**63 - 1  # numpy's multinomial counts are int64
+MAX_ESTIMATE_REPS = 200_000  # about 4 s and 90 MB; about 18 us per repetition
 
 
 def _check_limit(value: int, limit: int, what: str, name: str) -> None:
@@ -235,29 +238,13 @@ def split_dicke_rows(n: int, k: int):
 # Split Dicke through a beam splitter (block evaluation over number sectors)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionQuantities:
-    """Witness quantities of a beam-splitter split Dicke state."""
-
-    n: int
-    k: int
-    p: float
-    cond_var: float
-    cond_qfi: float
-    var_reduced: float
-    var_reduced_ref: float
-    qfi_reduced: float
-    mean_jz: float
-    mean_jz_ref: float
-
-
-def split_dicke_partition_quantities(n: int, k: int, p: float) -> PartitionQuantities:
-    """Witness quantities of one beam-splitter split Dicke state: the one-k case of
+def split_dicke_partition_quantities(n: int, k: int, p: float) -> WitnessReport:
+    """Witness report of one beam-splitter split Dicke state: the one-k case of
     ``split_dicke_partition_table``."""
     return split_dicke_partition_table(n, p, [k])[0]
 
 
-def split_dicke_partition_table(n: int, p: float, k_values) -> list[PartitionQuantities]:
+def split_dicke_partition_table(n: int, p: float, k_values) -> list[WitnessReport]:
     """Sector-blocked evaluation of the partition-noise split Dicke example, all ks at once.
 
     Alice reads out (J_z or J_x) together with her particle number N_A;
@@ -265,7 +252,9 @@ def split_dicke_partition_table(n: int, p: float, k_values) -> list[PartitionQua
     witness quantities decompose over sectors and n = 100 stays cheap.  Each
     N_A sector is one array pass: the (k, k_A) amplitude matrix of every
     requested k, and the J_x readout as its weights times the quarter-turn
-    overlap.  Results follow the order of ``k_values``, duplicates included.
+    overlap.  Each report (``witness_report``, so the sandwich bounds are
+    checked) names the J_x readout as the argmax and J_z as the argmin.
+    Results follow the order of ``k_values``, duplicates included.
     """
     n, ks = int(n), [int(k) for k in k_values]
     _check_limit(n, MAX_PARTITION_N, "partition table n", "MAX_PARTITION_N")
@@ -305,23 +294,9 @@ def split_dicke_partition_table(n: int, p: float, k_values) -> list[PartitionQua
     if off.any():
         raise ValidationError(f"sector weights sum to {total_weight[off][0]}, not 1")
     var_red = m2_red - m1_red**2
-    return [
-        PartitionQuantities(
-            n=n,
-            k=k,
-            p=float(p),
-            cond_var=0.0,  # the J_z^A readout leaves J_z^B eigenstates
-            cond_qfi=cq,
-            var_reduced=v,
-            var_reduced_ref=n / 4.0 * p * (1.0 - p),
-            # Bob's reduced state and J_z^B are both diagonal in his (N_B, k_B)
-            # basis, so they commute and the reduced-state QFI vanishes.
-            qfi_reduced=0.0,
-            mean_jz=m,
-            mean_jz_ref=(k - n / 2.0) * (1.0 - p),
-        )
-        for k, cq, v, m in zip(ks.tolist(), cond_qfi.tolist(), var_red.tolist(), m1_red.tolist())
-    ]
+    # cond_var = 0: the J_z^A readout leaves J_z^B eigenstates.  F_Q[rho_B] = 0: Bob's reduced
+    # state and J_z^B are both diagonal in his (N_B, k_B) basis, so they commute.
+    return [witness_report(cq, "Jx", 0.0, "Jz", (0.0, v)) for cq, v in zip(cond_qfi.tolist(), var_red.tolist())]
 
 
 def split_dicke_partition_rows(n: int, p: float, k_values):
@@ -335,9 +310,10 @@ def split_dicke_partition_rows(n: int, p: float, k_values):
         "qfi_reduced",
         "qfi_reduced_ref",
     ]
+    ks = [int(k) for k in k_values]
     return header, [
-        [q.k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, q.var_reduced_ref, q.qfi_reduced, 0.0]
-        for q in split_dicke_partition_table(n, p, k_values)
+        [k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, n / 4.0 * p * (1.0 - p), q.qfi_reduced, 0.0]
+        for k, q in zip(ks, split_dicke_partition_table(n, p, ks))
     ]
 
 
@@ -367,15 +343,14 @@ def cat_rows(alphas):
         asm = cat_assemblage(alpha)
         cutoff = asm.d_b
         mode = fock_space(cutoff)
-        cq_x, _ = conditional_qfi(asm, mode.x)
-        cv_x, _ = conditional_variance(asm, mode.x)
+        report = steering_witness(asm, mode.x)
         cv_p, _ = conditional_variance(asm, mode.p)
         return [
             alpha,
             cutoff,
-            cq_x,
+            report.cond_qfi,
             4.0 * (2.0 * alpha**2 + 0.5),
-            cv_x,
+            report.cond_var,
             0.5,
             cv_p,
             0.5 - 2.0 * alpha**2 * math.exp(-4.0 * alpha**2),
@@ -436,6 +411,8 @@ def estimate_run(theta: float = 0.01, shots: int = 10_000, reps: int = 200, seed
     phase response; he flips the sign of sigma_y with Alice's sigma_x
     outcome, which restores unit response on each steered branch.
     """
+    _check_limit(shots, MAX_ESTIMATE_SHOTS, "estimate shots", "MAX_ESTIMATE_SHOTS")
+    _check_limit(reps, MAX_ESTIMATE_REPS, "estimate reps", "MAX_ESTIMATE_REPS")
     from .sampling import epr_product_check  # only this command samples
 
     asm = bell_assemblage()

@@ -17,10 +17,9 @@ import numpy as np
 from .assemblage import (
     Assemblage,
     assemblage_from_pure_state,
-    conditional_qfi,
-    conditional_variance,
     setting_average_qfi,
     setting_average_variance,
+    steering_witness,
 )
 from .linalg import ValidationError, dagger, require_hermitian
 from .metrology import POVM, povm_from_basis
@@ -214,10 +213,8 @@ def s_avg_pure(p):
 
 
 def assemblage_delta(assemblage: Assemblage, h) -> float:
-    """Witness gap Delta = cond_qfi/4 - cond_var for one generator."""
-    cq, _ = conditional_qfi(assemblage, h)
-    cv, _ = conditional_variance(assemblage, h)
-    return cq / 4.0 - cv
+    """Witness gap Delta = cond_qfi/4 - cond_var for one generator, read off the checked report."""
+    return steering_witness(assemblage, h).delta
 
 
 def s_max_lower_bound(assemblage: Assemblage) -> float:
@@ -261,7 +258,7 @@ def pure_multi_generator_value(p) -> float:
 
 
 def qubit_direction_gap(state: BipartitePureState, direction) -> float:
-    """cond_qfi - 4 cond_var for H = n . sigma with both optimal settings.
+    """cond_qfi - 4 cond_var = 4 delta for H = n . sigma with both optimal settings.
 
     For every direction n this is 8 (1 - tr[rho_B^2]), the qubit gap identity.
     """
@@ -273,10 +270,7 @@ def qubit_direction_gap(state: BipartitePureState, direction) -> float:
     n = n / np.linalg.norm(n)
     paulis = [g * math.sqrt(2.0) for g in gellmann_basis(2).generators]
     h = sum(ni * gi for ni, gi in zip(n, paulis))
-    asm = optimal_assemblage(state, h)
-    cq, _ = conditional_qfi(asm, h)
-    cv, _ = conditional_variance(asm, h)
-    return cq - 4.0 * cv
+    return 4.0 * steering_witness(optimal_assemblage(state, h), h).delta
 
 
 def ancilla_invariance_check(state: BipartitePureState, ancilla_dim: int) -> bool:

@@ -63,6 +63,14 @@ def dense_mixture(first, second, weight):
     return make_assemblage(recs, first.d_b)
 
 
+def close_settings_assemblage(angles):
+    """One-outcome settings s0, s1, ... holding the pure qubit at each Bloch angle (x-z plane)."""
+    from steerkit.assemblage import SettingRecord, make_assemblage
+
+    states = [np.array([np.cos(t / 2.0), np.sin(t / 2.0)], dtype=complex) for t in angles]
+    return make_assemblage([SettingRecord(f"s{i}", np.ones(1), (v,)) for i, v in enumerate(states)], 2)
+
+
 def cfi(povm, rho, h):
     """Classical Fisher information at theta = 0 of p_a(theta) = tr(E_a e^{-i theta H} rho e^{i theta H}).
 

@@ -14,6 +14,7 @@ from steerkit.assemblage import (
     make_assemblage,
     reid_witness,
     steering_witness,
+    witness_report,
 )
 from steerkit.experiments import (
     bell_assemblage,
@@ -41,6 +42,7 @@ from conftest import (
     SX,
     SZ,
     cfi,
+    close_settings_assemblage,
     dense_mixture,
     outer,
     random_density,
@@ -337,6 +339,56 @@ class TestSandwichGuard:
         else:
             with pytest.raises(NumericError, match="sandwich"):
                 steering_witness(bell_assemblage(), SZ)
+
+    @pytest.mark.parametrize("excess,passes", [(1e-12, True), (1e-8, False)])
+    def test_constructor_tolerance_is_relative(self, excess, passes):
+        # cond_qfi = 4e6 (1 + excess) against 4 Var[rho_B] = 4e6; the other three bounds hold
+        args = (4e6 * (1.0 + excess), "x", 0.0, "z", (0.0, 1e6))
+        if passes:
+            report = witness_report(*args)
+            assert (report.delta, report.steering) == (1e6 * (1.0 + excess), True)
+        else:
+            with pytest.raises(NumericError, match=r"cond_qfi = .* > 4 Var\[rho_B\]"):
+                witness_report(*args)
+
+    @pytest.mark.parametrize(
+        "cq,cv,reduced,message",
+        [
+            (1.0, 0.5, (2.0, 1.0), r"F_Q\[rho_B\] = 2.0 > cond_qfi = 1.0"),
+            (5.0, 0.5, (1.0, 1.0), r"cond_qfi = 5.0 > 4 Var\[rho_B\] = 4.0"),
+            (4.0, 0.25, (2.0, 1.0), r"F_Q\[rho_B\] = 2.0 > 4 cond_var = 1.0"),
+            (4.0, 1.5, (1.0, 1.0), r"4 cond_var = 6.0 > 4 Var\[rho_B\] = 4.0"),
+            (float("nan"), 0.5, (1.0, 1.0), "F_Q.* > cond_qfi = nan"),
+        ],
+    )
+    def test_each_bound_is_checked(self, cq, cv, reduced, message):
+        with pytest.raises(NumericError, match=message):
+            witness_report(cq, "x", cv, "z", reduced)
+
+    def test_failing_bound_is_rechecked_lazily_against_its_own_setting(self):
+        asked = []
+
+        def marginal(label):
+            asked.append(label)
+            return {"x": (0.0, 1.25), "z": (0.0, 0.75)}[label]
+
+        witness_report(4.0, "x", 0.5, "z", (0.0, 1.0), marginal)
+        assert asked == []  # every bound holds against the first marginal
+        report = witness_report(5.0, "x", 0.5, "z", (0.0, 1.0), marginal)
+        assert asked == ["x"] and report.var_reduced == 1.0  # the report keeps the first marginal
+        with pytest.raises(NumericError, match="cond_qfi = 6.0 > 4 Var"):
+            witness_report(6.0, "x", 0.5, "z", (0.0, 1.0), marginal)
+
+    @pytest.mark.parametrize("angles", [(1.0, 1.0 + 1e-9), (1.0 + 1e-9, 1.0)])
+    def test_settings_that_differ_within_no_signalling_pass(self, angles):
+        # pure qubits at Bloch angles 1 and 1 + 1e-9: marginals 4.2e-10 apart, which tips
+        # cond_qfi <= 4 Var[rho_B] (first order) or F_Q[rho_B] <= 4 cond_var (mirrored)
+        # against the first setting's marginal, but neither against the argmax's or argmin's own
+        asm = close_settings_assemblage(angles)
+        report = steering_witness(asm, SZ)
+        assert (report.argmax_setting, report.argmin_setting) == (("s1", "s0") if angles[0] < angles[1] else ("s0", "s1"))
+        assert abs(report.cond_qfi - 4.0 * math.sin(1.0) ** 2) < 1e-8
+        assert not report.steering
 
     def test_twin_fock_equality_passes(self):
         # the twin-Fock state holds cond_qfi = 4 Var[rho_B] with equality, n (n + 4)/12 on both sides

@@ -58,6 +58,8 @@ INVALID_COMMANDS = {
     "multigen_over_range_point_limit": ["multigen", "--d", "2:1e300"],
     "cat_over_fock_cutoff_limit": ["cat", "--alpha", "0:25"],
     "cat_far_over_fock_cutoff_limit": ["cat", "--alpha", "100"],
+    "estimate_over_shots_limit": ["estimate", "--shots", "100000000000000000000"],
+    "estimate_over_reps_limit": ["estimate", "--reps", "1000000000000"],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -72,6 +74,8 @@ OVER_LIMIT = {
     "multigen_over_range_point_limit": "MAX_RANGE_POINTS",
     "cat_over_fock_cutoff_limit": "MAX_FOCK_CUTOFF",
     "cat_far_over_fock_cutoff_limit": "MAX_FOCK_CUTOFF",
+    "estimate_over_shots_limit": "MAX_ESTIMATE_SHOTS",
+    "estimate_over_reps_limit": "MAX_ESTIMATE_REPS",
 }
 
 
@@ -251,6 +255,12 @@ class TestOutputs:
         assert run_cli(["estimate", "--shots", "200", "--reps", "5", "--format", "json", "--out", str(out)]) == 0
         check_fields = [f.name for f in fields(ProductCheck) if f.name != "run"]
         assert list(json.loads(out.read_text())) == ["type", *(f.name for f in fields(SampleRun)), *check_fields]
+        # the CSV summary rows: the same fields in the same order, less the estimates and the setting label
+        out = tmp_path / "estimate.csv"
+        assert run_cli(["estimate", "--shots", "200", "--reps", "5", "--out", str(out)]) == 0
+        summary = [line.split(",")[0] for line in out.read_text().splitlines() if line.startswith("summary:")]
+        numbers = [f.name for f in (*fields(SampleRun), *fields(ProductCheck)) if f.name not in ("estimates", "setting", "run")]
+        assert summary == [f"summary:{name}" for name in numbers]
 
     def test_witness_pure_state(self, tmp_path):
         state_path = tmp_path / "bell.json"
@@ -280,6 +290,20 @@ class TestOutputs:
         assert code == 0
         doc = json.loads(out.read_text())
         assert abs(doc["cond_qfi"] - 4.0) < 1e-8
+
+    @pytest.mark.parametrize("angles", [(1.0, 1.0 + 1e-9), (1.0 + 1e-9, 1.0)])
+    def test_witness_on_settings_that_differ_within_no_signalling(self, tmp_path, angles):
+        # two one-outcome settings whose marginals are 4.2e-10 apart: each tight sandwich
+        # bound holds against the marginal of its own setting
+        from steerkit.serialize import assemblage_to_json
+
+        from conftest import close_settings_assemblage
+
+        save_json(assemblage_to_json(close_settings_assemblage(angles)), tmp_path / "asm.json")
+        save_json({"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, tmp_path / "obs.json")
+        argv = ["witness", str(tmp_path / "asm.json"), "--observable", str(tmp_path / "obs.json"), "--format", "json"]
+        assert run_cli(argv + ["--out", str(tmp_path / "report.json")]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["steering"] is False
 
     def test_witness_assemblage_quantify(self, tmp_path):
         from steerkit.experiments import ghz_assemblage

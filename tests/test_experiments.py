@@ -7,8 +7,10 @@ from steerkit.assemblage import (
     assemblage_from_pure_state,
     conditional_qfi,
     conditional_variance,
+    steering_witness,
 )
 from steerkit.experiments import (
+    MAX_PARTITION_N,
     cat_rows,
     ghz_noise_closed_forms,
     ghz_noise_rows,
@@ -18,9 +20,10 @@ from steerkit.experiments import (
     split_dicke_assemblage,
     split_dicke_partition_quantities,
     split_dicke_partition_rows,
+    split_dicke_partition_table,
     split_dicke_rows,
 )
-from steerkit.linalg import ValidationError
+from steerkit.linalg import TOL, NumericError, ValidationError
 from steerkit.metrology import povm_from_basis, qfi, variance
 from steerkit.pure import s_avg_pure, s_max_pure
 from steerkit.states import spin_ops, wigner_rotation_matrix
@@ -59,25 +62,28 @@ class TestPartitionBlocks:
     def test_block_evaluation_matches_generic(self, n, k, p):
         q = split_dicke_partition_quantities(n, k, p)
         asm, jz = partition_generic_assemblage(n, k, p)
-        cq, _ = conditional_qfi(asm, jz)
-        cv, _ = conditional_variance(asm, jz)
-        assert abs(q.cond_qfi - cq) < 1e-9 * max(cq, 1.0)
-        assert abs(q.cond_var - cv) < 1e-10
-        from steerkit.metrology import qfi, variance
-
-        rho_b = asm.reduced_spectrum().reconstruct()
-        assert abs(q.var_reduced - variance(rho_b, jz)) < 1e-10
-        assert abs(q.qfi_reduced - qfi(rho_b, jz)) < 1e-9
+        ref = steering_witness(asm, jz)
+        for name, tol in (("cond_qfi", 1e-9), ("cond_var", 1e-10), ("delta", 1e-9), ("qfi_reduced", 1e-9), ("var_reduced", 1e-10)):
+            assert abs(getattr(q, name) - getattr(ref, name)) < tol * max(abs(getattr(ref, name)), 1.0), name
+        assert q.steering == ref.steering
+        if ref.cond_qfi > TOL.witness:  # else every setting ties at 0 and the first, Jz, is the argmax
+            assert (q.argmax_setting, q.argmin_setting) == (ref.argmax_setting, ref.argmin_setting) == ("Jx", "Jz")
 
     def test_reduced_variance_formula(self):
         for n, k, p in [(10, 5, 0.5), (12, 4, 0.25)]:
-            q = split_dicke_partition_quantities(n, k, p)
-            assert abs(q.var_reduced - q.var_reduced_ref) < 1e-10
-            assert abs(q.mean_jz - q.mean_jz_ref) < 1e-10
+            header, rows = split_dicke_partition_rows(n, p, [k])
+            q = dict(zip(header, rows[0]))
+            assert abs(q["var_reduced"] - q["var_reduced_ref"]) < 1e-10
 
     def test_twin_fock_saturates_reduced_bound(self):
         q = split_dicke_partition_quantities(10, 5, 0.5)
         assert abs(q.cond_qfi - 4.0 * q.var_reduced) < 1e-9
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_table_at_its_limit_passes_the_sandwich_guard(self, p):
+        # at p = 0.5 the twin-Fock row k = n/2 holds cond_qfi = 4 Var[rho_B] with equality
+        reports = split_dicke_partition_table(MAX_PARTITION_N, p, range(MAX_PARTITION_N + 1))
+        assert len(reports) == MAX_PARTITION_N + 1
 
     def test_rows_follow_requested_ks(self):
         ks = [7, 2, 9, 2, 0, 7, 10]
@@ -85,7 +91,7 @@ class TestPartitionBlocks:
         assert [row[0] for row in rows] == ks
         for k, row in zip(ks, rows):
             q = split_dicke_partition_quantities(10, k, 0.35)
-            assert row == [k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, q.var_reduced_ref, q.qfi_reduced, 0.0]
+            assert row == [k, q.cond_var, 0.0, q.cond_qfi, q.var_reduced, 10 / 4.0 * 0.35 * 0.65, q.qfi_reduced, 0.0]
 
     @pytest.mark.parametrize("p", [0.3, 0.0, 1.0])
     def test_whole_table_matches_generic(self, p):
@@ -219,6 +225,28 @@ class TestRowTables:
             assert bound == 4.0 * (d - 1)
             assert violated == 1
 
+
+
+class TestTablesAreGuarded:
+    """The cat and partition tables build their reports through ``witness_report``, so a forged
+    violation of cond_qfi <= 4 Var[rho_B] raises."""
+
+    def test_cat_table(self, monkeypatch):
+        import steerkit.assemblage as module
+
+        true_qfi = module.qfi
+        monkeypatch.setattr(module, "qfi", lambda st, h: 2.0 * true_qfi(st, h))
+        with pytest.raises(NumericError, match=r"cond_qfi = .* > 4 Var\[rho_B\]"):
+            cat_rows([1.0])
+
+    def test_partition_table(self, monkeypatch):
+        import steerkit.experiments as module
+
+        true_rotation = module.wigner_rotation_matrix
+        # scaling the quarter-turn by sqrt(2) doubles every J_x outcome weight, and so cond_qfi
+        monkeypatch.setattr(module, "wigner_rotation_matrix", lambda n, angle: math.sqrt(2.0) * true_rotation(n, angle))
+        with pytest.raises(NumericError, match=r"cond_qfi = .* > 4 Var\[rho_B\]"):
+            split_dicke_partition_rows(10, 0.5, [5])
 
 
 class TestGhzNoiseAtScale:
