@@ -172,11 +172,11 @@ def _cmd_estimate(args):
         doc.update((f.name, getattr(check, f.name)) for f in fields(check) if f.name != "run")
         write_json_doc(doc, args.out)
         return
-    # the summary rows: every number of the run, then of the check, in field order
+    # the summary rows: every field of the run, then of the check, in field order, less the estimates
+    # (the rows above), the nested run and the setting label (each summary value must parse as a number)
     rows = [[i, float(v)] for i, v in enumerate(check.run.estimates)]
-    rows += [
-        [f"summary:{f.name}", getattr(x, f.name)] for x in (check.run, check) for f in fields(x) if f.type in ("int", "float", "bool")
-    ]
+    skip = ("estimates", "run", "setting")
+    rows += [[f"summary:{f.name}", getattr(x, f.name)] for x in (check.run, check) for f in fields(x) if f.name not in skip]
     write_csv(["rep", "estimate"], rows, args.out)
 
 

@@ -57,10 +57,11 @@ MAX_ESTIMATE_SHOTS = 2**63 - 1  # numpy's multinomial counts are int64
 MAX_ESTIMATE_REPS = 200_000  # about 4 s and 90 MB; about 18 us per repetition
 
 
-def _check_limit(value: int, limit: int, what: str, name: str) -> None:
+def _check_limit(value: int | float, limit: int, what: str, name: str) -> None:
     """Reject a size over its documented limit, naming the limit."""
     if value > limit:
-        raise ValidationError(f"{what} {value:.0f} is over the limit {name} = {limit}")
+        shown = f"{value:.0f}" if isinstance(value, float) else value  # an int may not fit a float
+        raise ValidationError(f"{what} {shown} is over the limit {name} = {limit}")
 
 
 def parallel_map(fn, items):

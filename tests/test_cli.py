@@ -60,6 +60,8 @@ INVALID_COMMANDS = {
     "cat_far_over_fock_cutoff_limit": ["cat", "--alpha", "100"],
     "estimate_over_shots_limit": ["estimate", "--shots", "100000000000000000000"],
     "estimate_over_reps_limit": ["estimate", "--reps", "1000000000000"],
+    "estimate_shots_past_float_range": ["estimate", "--shots", "1" + "0" * 400],
+    "estimate_reps_past_float_range": ["estimate", "--reps", "1" + "0" * 400],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -76,6 +78,8 @@ OVER_LIMIT = {
     "cat_far_over_fock_cutoff_limit": "MAX_FOCK_CUTOFF",
     "estimate_over_shots_limit": "MAX_ESTIMATE_SHOTS",
     "estimate_over_reps_limit": "MAX_ESTIMATE_REPS",
+    "estimate_shots_past_float_range": "MAX_ESTIMATE_SHOTS",
+    "estimate_reps_past_float_range": "MAX_ESTIMATE_REPS",
 }
 
 

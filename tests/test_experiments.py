@@ -10,6 +10,7 @@ from steerkit.assemblage import (
     steering_witness,
 )
 from steerkit.experiments import (
+    MAX_FOCK_CUTOFF,
     MAX_PARTITION_N,
     cat_rows,
     ghz_noise_closed_forms,
@@ -63,8 +64,12 @@ class TestPartitionBlocks:
         q = split_dicke_partition_quantities(n, k, p)
         asm, jz = partition_generic_assemblage(n, k, p)
         ref = steering_witness(asm, jz)
-        for name, tol in (("cond_qfi", 1e-9), ("cond_var", 1e-10), ("delta", 1e-9), ("qfi_reduced", 1e-9), ("var_reduced", 1e-10)):
-            assert abs(getattr(q, name) - getattr(ref, name)) < tol * max(abs(getattr(ref, name)), 1.0), name
+        assert abs(q.cond_qfi - ref.cond_qfi) < 1e-9 * max(ref.cond_qfi, 1.0)
+        assert abs(q.cond_var - ref.cond_var) < 1e-10
+        # delta = cond_qfi - 4 cond_var, so its tolerance is the cond_qfi one plus four times the cond_var one
+        assert abs(q.delta - ref.delta) < 1e-9 * max(ref.cond_qfi, 1.0) + 4e-10
+        assert abs(q.var_reduced - ref.var_reduced) < 1e-10
+        assert abs(q.qfi_reduced - ref.qfi_reduced) < 1e-9
         assert q.steering == ref.steering
         if ref.cond_qfi > TOL.witness:  # else every setting ties at 0 and the first, Jz, is the argmax
             assert (q.argmax_setting, q.argmin_setting) == (ref.argmax_setting, ref.argmin_setting) == ("Jx", "Jz")
@@ -238,6 +243,14 @@ class TestTablesAreGuarded:
         monkeypatch.setattr(module, "qfi", lambda st, h: 2.0 * true_qfi(st, h))
         with pytest.raises(NumericError, match=r"cond_qfi = .* > 4 Var\[rho_B\]"):
             cat_rows([1.0])
+
+    def test_cat_table_at_its_cutoff_limit(self):
+        # the x quadrature is an equality case, cond_qfi = 4 Var[rho_B], at the largest cutoff
+        alpha = 23.93
+        header, rows = cat_rows([alpha])
+        row = dict(zip(header, rows[0]))
+        assert row["cutoff"] == MAX_FOCK_CUTOFF
+        assert abs(row["cond_qfi_x"] - row["cond_qfi_x_ref"]) < 1e-9 * row["cond_qfi_x_ref"]
 
     def test_partition_table(self, monkeypatch):
         import steerkit.experiments as module
