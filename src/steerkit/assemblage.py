@@ -140,7 +140,7 @@ def _marginal_deviation(rec0: SettingRecord, rec1: SettingRecord, d_b: int) -> f
 
 
 def make_assemblage(settings, d_b: int) -> Assemblage:
-    """Validate probabilities, outcome labels, conditional states and no-signalling.
+    """Validate probabilities, outcome and setting labels, conditional states and no-signalling.
 
     Records without outcome labels get their positions "0", "1", ... as
     labels.  Conditional states go through ``as_state``: amplitude vectors
@@ -155,10 +155,10 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
         outcomes = tuple(str(o) for o in rec.outcomes) or tuple(str(i) for i in range(len(rec.states)))
         if len(outcomes) != len(rec.states) or len(set(outcomes)) != len(outcomes):
             raise ValidationError(f"setting {rec.label!r}: need one distinct label per outcome, got {outcomes}")
-        if float(probs.min()) < -TOL.prob_floor:
-            raise ValidationError(f"setting {rec.label!r} has negative probability")
+        if not float(probs.min()) >= -TOL.prob_floor:
+            raise ValidationError(f"setting {rec.label!r} has a negative or NaN probability")
         dev = abs(float(probs.sum()) - 1.0)
-        if dev > TOL.prob_sum:
+        if not dev <= TOL.prob_sum:
             raise ValidationError(f"setting {rec.label!r}: probabilities sum to {probs.sum():.12f}")
         states = tuple(
             as_state(st, name=f"conditional state {rec.label}/{lab}") for lab, st in zip(outcomes, rec.states)
@@ -168,6 +168,8 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
                 raise ValidationError(f"setting {rec.label!r}, outcome {lab}: dimension {st.dim} != {d_b}")
         recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
+    if len(set(out.labels)) != len(recs):
+        raise ValidationError(f"need one distinct label per setting, got {out.labels}")
     if len(recs) > 1:
         for rec in recs[1:]:
             dev = _marginal_deviation(recs[0], rec, out.d_b)
@@ -199,40 +201,34 @@ def _setting(label, outcome_labels, weighted) -> SettingRecord:
     )
 
 
-def _conditioned(rows, f: np.ndarray, d_b: int, floor: float):
-    """(p(a), block) of one outcome, for rho_AB = F F^dag + floor I with F of shape (d_A, d_B * r).
-
-    ``rows`` is K^dag for the outcome's effect E = K K^dag (``POVM.factors``).
-    tr_A[(E (x) 1) rho_AB] = G G^dag + floor tr(E) I, where G = K^dag F with
-    its columns regrouped to d_B rows, and p(a) = ||G||_F^2 + floor tr(E) d_B
-    (``_block``).
-    """
-    g = rows @ f
-    # one (d_B, r) block per column of K, side by side
-    g = np.moveaxis(g.reshape(len(g), d_b, f.shape[1] // d_b), 0, 1).reshape(d_b, -1)
-    return _block(g, floor * float(np.vdot(rows, rows).real))
-
-
 def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage:
     """Conditional states tr_A[(E_a (x) 1) rho] / p(a) for each labelled POVM setting.
 
     ``rho_ab`` is a density matrix or a ``Spectrum`` (taken through
     ``as_state``); ``settings`` holds (label, POVM) pairs.  A dense rho_AB
-    gets one ``eigh``; then each outcome conditions the factor
-    V sqrt(lam - floor) of rho_AB and inherits floor tr(E_a) on every
-    direction of Bob's space, so a state of rank r conditions on d_B x r
-    matrices.  Outcomes keep their POVM labels.
+    gets one ``eigh``.  Its factor F = V sqrt(lam - floor), as d_A rows, is
+    multiplied once per setting by the stacked K_a^dag of the POVM factors
+    (E_a = K_a K_a^dag).  Outcome a's rows G_a of that product, regrouped to
+    d_B rows, give tr_A[(E_a (x) 1) rho_AB] = G_a G_a^dag + floor tr(E_a) I
+    (``_block``), so a state of rank r conditions on d_B x k_a r matrices.
+    Outcomes keep their POVM labels.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     st = as_state(rho_ab, name="rho_AB")
     if st.dim != d_a * d_b:
         raise ValidationError(f"rho_AB dimension {st.dim} != {d_a} * {d_b}")
     f = (st.eigenvectors * np.sqrt(st.eigenvalues - st.floor)).reshape(d_a, -1)
+    r = f.shape[1] // d_b
     recs = []
     for label, povm in settings:
         if povm.dim != d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
-        weighted = (_conditioned(dagger(k), f, d_b, st.floor) for k in povm.factors)
+        g = dagger(np.concatenate(povm.factors, axis=1)) @ f  # K^dag F for every outcome at once
+        ends = np.cumsum([k.shape[1] for k in povm.factors])[:-1]
+        weighted = (  # each outcome's rows of G, one (d_B, r) block per column of K side by side
+            _block(np.moveaxis(rows.reshape(-1, d_b, r), 0, 1).reshape(d_b, -1), st.floor * float(np.vdot(k, k).real))
+            for k, rows in zip(povm.factors, np.split(g, ends))
+        )
         recs.append(_setting(label, povm.labels, weighted))
     return make_assemblage(recs, d_b)
 
@@ -377,7 +373,11 @@ def steering_witness(assemblage: Assemblage, h) -> WitnessReport:
     that fails against it is checked again against the argmax's or argmin's
     own (``witness_report``).
     """
-    op = require_hermitian(h, name="H")
+    return _witness(assemblage, require_hermitian(h, name="H"), assemblage.reduced_spectrum())
+
+
+def _witness(assemblage: Assemblage, op: np.ndarray, reduced: Spectrum) -> WitnessReport:
+    """``steering_witness`` for a validated H and Bob's reduced spectrum ``reduced``."""
     cq, argmax = _best_setting(assemblage, op, setting_average_qfi, max)
     cv, argmin = _best_setting(assemblage, op, setting_average_variance, min)
 
@@ -385,7 +385,6 @@ def steering_witness(assemblage: Assemblage, h) -> WitnessReport:
         st = factor_spectrum(*assemblage.setting(label).factor())
         return qfi(st, op), variance(st, op)
 
-    reduced = assemblage.reduced_spectrum()
     return witness_report(cq, argmax, cv, argmin, (qfi(reduced, op), variance(reduced, op)), marginal)
 
 
@@ -393,16 +392,18 @@ def reid_witness(assemblage: Assemblage, h, m) -> tuple[float, float]:
     """Inference-variance product vs the commutator bound |<[H, M]>|^2 / 4.
 
     Returns (lhs, rhs); lhs < rhs flags a Reid EPR paradox.  cond_var(H) and
-    cond_qfi(H) are read off ``steering_witness``'s report.  Also verifies
-    the moment-bound chain |<[H,M]>|^2 / cond_var(M) <= cond_qfi(H) as an
+    cond_qfi(H) are read off the steering witness's report, which shares
+    Bob's reduced spectrum with the commutator.  Also verifies the
+    moment-bound chain |<[H,M]>|^2 / cond_var(M) <= cond_qfi(H) as an
     internal consistency check.
     """
     h = require_hermitian(h, name="H")
     m = require_hermitian(m, name="M")
-    report = steering_witness(assemblage, h)
+    reduced = assemblage.reduced_spectrum()
+    report = _witness(assemblage, h, reduced)
     cv_m, _ = _best_setting(assemblage, m, setting_average_variance, min)
     # <[H, M]> = sum_i lam_i <v_i|[H, M]|v_i> on Bob's reduced spectrum; -i[H, M] is Hermitian
-    comm_sq = expectation(assemblage.reduced_spectrum(), commutator(h, m)) ** 2
+    comm_sq = expectation(reduced, commutator(h, m)) ** 2
     if cv_m > 1e-14 and comm_sq / cv_m > report.cond_qfi + TOL.witness:
         raise NumericError("commutator lower bound exceeded the conditional QFI; numerics are inconsistent")
     return report.cond_var * cv_m, comm_sq / 4.0

@@ -48,13 +48,14 @@ from .states import (
 )
 
 
+# Each limit's measured time and memory are in README's limits table; the comments give how the cost grows.
 MAX_QUANTIFY_POINTS = 1_000_000  # d = 3 simplex grid points: step 0.001 (501,501 points) fits
-MAX_MULTIGEN_D = 16  # the table's cost grows as d^7; d = 12 takes about 1.5 s
-MAX_SPLIT_DICKE_N = 2000  # about 5.1 s and 182 MB; cost grows as n^3 (n/2 + 1 outcomes, each O(n^2))
-MAX_PARTITION_N = 400  # about 3.5 s; cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
-MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9: 0.3 s, 66 MB
+MAX_MULTIGEN_D = 16  # the table's cost grows as d^7
+MAX_SPLIT_DICKE_N = 2000  # cost grows as n^3: dense (n/2 + 1)^2 matrices are multiplied and diagonalised
+MAX_PARTITION_N = 400  # cost grows as n^4, and each rotation cached is (n_A + 1)^2 floats
+MAX_FOCK_CUTOFF = 750  # cat's cutoff, alpha up to ~23.9; its Fock operators are dense cutoff x cutoff matrices
 MAX_ESTIMATE_SHOTS = 2**63 - 1  # numpy's multinomial counts are int64
-MAX_ESTIMATE_REPS = 200_000  # about 4 s and 90 MB; about 18 us per repetition
+MAX_ESTIMATE_REPS = 200_000  # time and CSV rows grow linearly, one per repetition
 
 
 def _check_limit(value: int | float, limit: int, what: str, name: str) -> None:

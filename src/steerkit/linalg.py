@@ -78,11 +78,11 @@ _ROW_BLOCK = 1 << 16  # entries per block of rows in ``max_abs_by_rows``
 def max_abs_by_rows(rows_of, n_rows: int, n_cols: int) -> float:
     """max |M_ij| of an n_rows x n_cols matrix M that ``rows_of(lo, hi)`` builds
     one block of rows at a time, so no temporary holds more than about
-    ``_ROW_BLOCK`` entries."""
+    ``_ROW_BLOCK`` entries.  A NaN entry makes the result NaN."""
     step = max(1, _ROW_BLOCK // max(n_cols, 1))
     dev = 0.0
     for lo in range(0, n_rows, step):
-        dev = max(dev, float(np.max(np.abs(rows_of(lo, min(lo + step, n_rows))))))
+        dev = float(np.maximum(dev, np.max(np.abs(rows_of(lo, min(lo + step, n_rows))))))
     return dev
 
 
@@ -118,7 +118,7 @@ def require_hermitian(matrix, name: str = "operator") -> np.ndarray:
     if out.shape[0] != out.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {out.shape}")
     dev = max_abs_by_rows(lambda lo, hi: out[lo:hi] - dagger(out[:, lo:hi]), *out.shape)
-    if dev > TOL.herm:
+    if not dev <= TOL.herm:  # a NaN deviation fails too
         raise ValidationError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {TOL.herm:.1e}")
     return out
 
@@ -144,7 +144,7 @@ def require_state_vector(vector, name: str = "state vector") -> np.ndarray:
     """Validate unit squared norm within ``TOL.norm`` and return the vector."""
     out = as_complex_vector(vector, name)
     dev = abs(float(np.vdot(out, out).real) - 1.0)
-    if dev > TOL.norm:
+    if not dev <= TOL.norm:  # a NaN deviation fails too
         raise ValidationError(f"{name} squared norm deviates from 1 by {dev:.3e}")
     return out
 

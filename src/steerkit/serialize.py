@@ -1,23 +1,24 @@
-"""JSON input/output for states, assemblages, witness reports and sample runs.
+"""The command line's JSON codec: states, assemblages and observables in, witness reports and sample runs out.
 
-Complex numbers are serialized as two-element arrays [re, im] everywhere.
-Schema problems (wrong shape/keys/types) raise ``SchemaError`` with the
-offending field path; values that parse but violate physical invariants
-raise ``ValidationError`` from the constructors, so the two failure modes
-stay distinguishable.
+Complex numbers are read as two-element arrays [re, im] of finite numbers.
+Schema problems (wrong shape/keys/types, a non-finite number) raise
+``SchemaError`` with the offending field path; values that parse but violate
+physical invariants raise ``ValidationError`` from the constructors, so the
+two failure modes stay distinguishable.  Unknown keys are ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assemblage import Assemblage, SettingRecord, WitnessReport, make_assemblage
-from .linalg import SchemaError, ValidationError, require_density_matrix
+from .linalg import SchemaError, require_density_matrix
 from .states import BipartitePureState
 
 if TYPE_CHECKING:  # an annotation only: ``witness`` loads this module but not sampling
@@ -28,26 +29,20 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _finite(value) -> bool:
+    """A JSON number that is a finite float (``json`` reads NaN, Infinity and 1e400 as non-finite floats)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        return False
 
 
 def pair_to_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        _fail(path, f"expected a complex number as [re, im], got {value!r}")
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(_finite(v) for v in value):
+        _fail(path, f"expected a complex number as [re, im] of finite numbers, got {value!r}")
     return complex(value[0], value[1])
-
-
-def vector_to_json(vec: np.ndarray) -> list:
-    return [complex_to_pair(z) for z in np.asarray(vec, dtype=complex)]
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
 
 
 def vector_from_json(data, path: str) -> np.ndarray:
@@ -76,41 +71,12 @@ def _require_keys(doc: dict, keys, path: str):
             _fail(path, f"missing required key {key!r}")
 
 
-def state_to_json(state: BipartitePureState) -> dict:
-    return {
-        "type": "bipartite_pure_state",
-        "dims": list(state.dims),
-        "basis_labels_a": None if state.basis_labels_a is None else [list(l) if isinstance(l, tuple) else l for l in state.basis_labels_a],
-        "basis_labels_b": None if state.basis_labels_b is None else [list(l) if isinstance(l, tuple) else l for l in state.basis_labels_b],
-        "amplitudes": vector_to_json(state.amplitudes),
-    }
-
-
-def density_to_json(rho: np.ndarray) -> dict:
-    return {"type": "density_matrix", "dim": int(rho.shape[0]), "matrix": matrix_to_json(rho)}
-
-
 def state_from_json(doc: dict) -> BipartitePureState:
     _require_keys(doc, ("dims", "amplitudes"), "$")
     dims = doc["dims"]
     if not isinstance(dims, list) or len(dims) != 2 or not all(isinstance(d, int) for d in dims):
         _fail("$.dims", f"expected [d_A, d_B] integers, got {dims!r}")
-    amps = vector_from_json(doc["amplitudes"], "$.amplitudes")
-
-    def _labels(key):
-        raw = doc.get(key)
-        if raw is None:
-            return None
-        if not isinstance(raw, list):
-            _fail(f"$.{key}", "expected a list of labels")
-        return tuple(tuple(l) if isinstance(l, list) else l for l in raw)
-
-    return BipartitePureState(
-        dims=(dims[0], dims[1]),
-        amplitudes=amps,
-        basis_labels_a=_labels("basis_labels_a"),
-        basis_labels_b=_labels("basis_labels_b"),
-    )
+    return BipartitePureState(dims=(dims[0], dims[1]), amplitudes=vector_from_json(doc["amplitudes"], "$.amplitudes"))
 
 
 def density_from_json(doc: dict) -> np.ndarray:
@@ -119,23 +85,6 @@ def density_from_json(doc: dict) -> np.ndarray:
     if "dim" in doc and mat.shape != (doc["dim"], doc["dim"]):
         _fail("$.matrix", f"shape {mat.shape} does not match declared dim {doc['dim']}")
     return require_density_matrix(mat, name="$.matrix")
-
-
-def assemblage_to_json(assemblage: Assemblage) -> dict:
-    return {
-        "type": "assemblage",
-        "d_b": assemblage.d_b,
-        "settings": [
-            {
-                "label": rec.label,
-                "outcomes": [
-                    {"label": lab, "p": float(p), "rho": matrix_to_json(st.reconstruct())}
-                    for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states)
-                ],
-            }
-            for rec in assemblage.settings
-        ],
-    }
 
 
 def assemblage_from_json(doc: dict) -> Assemblage:
@@ -154,8 +103,8 @@ def assemblage_from_json(doc: dict) -> Assemblage:
         for j, outcome in enumerate(setting["outcomes"]):
             opath = f"{spath}.outcomes[{j}]"
             _require_keys(outcome, ("p", "rho"), opath)
-            if not isinstance(outcome["p"], (int, float)) or isinstance(outcome["p"], bool):
-                _fail(f"{opath}.p", f"expected a number, got {outcome['p']!r}")
+            if not _finite(outcome["p"]):
+                _fail(f"{opath}.p", f"expected a finite number, got {outcome['p']!r}")
             probs.append(float(outcome["p"]))
             states.append(matrix_from_json(outcome["rho"], f"{opath}.rho"))
             label = outcome.get("label", str(j))
@@ -179,14 +128,10 @@ def sample_run_to_json(run: SampleRun) -> dict:
     return {"type": "sample_run", **dataclasses.asdict(run), "estimates": run.estimates.tolist()}
 
 
-def save_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
 def load_document(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -204,39 +149,7 @@ def load_state(path):
     raise SchemaError(f"$.type: expected 'bipartite_pure_state' or 'density_matrix', got {kind!r}")
 
 
-def load_assemblage(path) -> Assemblage:
-    doc = load_document(path)
-    if doc.get("type") != "assemblage":
-        raise SchemaError(f"$.type: expected 'assemblage', got {doc.get('type')!r}")
-    return assemblage_from_json(doc)
-
-
 def load_observable(path) -> np.ndarray:
     doc = load_document(path)
     _require_keys(doc, ("matrix",), "$")
     return matrix_from_json(doc["matrix"], "$.matrix")
-
-
-__all__ = [
-    "SchemaError",
-    "ValidationError",
-    "assemblage_from_json",
-    "assemblage_to_json",
-    "complex_to_pair",
-    "density_from_json",
-    "density_to_json",
-    "load_assemblage",
-    "load_document",
-    "load_observable",
-    "load_state",
-    "matrix_from_json",
-    "matrix_to_json",
-    "pair_to_complex",
-    "sample_run_to_json",
-    "save_json",
-    "state_from_json",
-    "state_to_json",
-    "vector_from_json",
-    "vector_to_json",
-    "witness_report_to_json",
-]

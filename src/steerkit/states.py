@@ -61,15 +61,11 @@ def spin_ops(n_particles: int) -> SpinOperators:
 class BipartitePureState:
     """A pure state on H_A (x) H_B stored as a flat amplitude vector.
 
-    Index convention: amplitude of |a>|b> sits at a * d_B + b.  The optional
-    label tuples carry physical basis annotations such as (N_A, k_A) sector
-    labels for number-resolved splittings.
+    Index convention: amplitude of |a>|b> sits at a * d_B + b.
     """
 
     dims: tuple[int, int]
     amplitudes: np.ndarray
-    basis_labels_a: tuple | None = None
-    basis_labels_b: tuple | None = None
 
     def __post_init__(self):
         d_a, d_b = self.dims
@@ -212,12 +208,7 @@ def split_dicke_fixed(k: int, n_a: int, n_b: int) -> BipartitePureState:
     vec = np.zeros(d_a * d_b, dtype=complex)
     for k_a in range(lo, hi + 1):
         vec[k_a * d_b + (k - k_a)] = amp
-    return BipartitePureState(
-        dims=(d_a, d_b),
-        amplitudes=vec,
-        basis_labels_a=tuple((n_a, j) for j in range(d_a)),
-        basis_labels_b=tuple((n_b, j) for j in range(d_b)),
-    )
+    return BipartitePureState(dims=(d_a, d_b), amplitudes=vec)
 
 
 @lru_cache(maxsize=16)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,9 +100,10 @@ def partition_labels(n):
 def split_dicke_beamsplitter(k, n, p):
     """Dense Dicke state with k excitations sent through a p : 1-p beam splitter.
 
-    Both sides carry the full (particle number, excitations) sector basis of
-    ``partition_labels``, with the amplitudes of ``states.partition_sector_amplitudes``:
-    the oracle the block evaluation of the partition table is checked against.
+    Both sides carry the full (particle number, excitations) sector basis,
+    index i holding ``partition_labels(n)[i]``, with the amplitudes of
+    ``states.partition_sector_amplitudes``: the oracle the block evaluation
+    of the partition table is checked against.
     """
     from steerkit.linalg import ValidationError
     from steerkit.states import BipartitePureState, partition_sector_amplitudes
@@ -120,7 +124,7 @@ def split_dicke_beamsplitter(k, n, p):
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"beam-splitter amplitudes normalize to {norm}, not 1")
-    return BipartitePureState(dims=mat.shape, amplitudes=vec / norm, basis_labels_a=labels, basis_labels_b=labels)
+    return BipartitePureState(dims=mat.shape, amplitudes=vec / norm)
 
 
 def random_hermitian(rng, d):
@@ -165,3 +169,39 @@ def random_floored_state(rng, d, r, floor):
         x /= x.sum() if x.sum() else 1.0
     lam = floor + (1.0 - floor * d) * x
     return Spectrum(lam, random_unitary(rng, d)[:, :r], floor)
+
+
+# JSON writers for the documents ``steerkit witness`` reads (``steerkit.serialize`` holds the readers)
+
+
+def to_pairs(value):
+    """A complex scalar, vector or matrix as nested [re, im] pairs of floats."""
+    value = np.asarray(value, dtype=complex)
+    return [float(value.real), float(value.imag)] if value.ndim == 0 else [to_pairs(v) for v in value]
+
+
+def state_to_json(state):
+    return {"type": "bipartite_pure_state", "dims": list(state.dims), "amplitudes": to_pairs(state.amplitudes)}
+
+
+def density_to_json(rho):
+    return {"type": "density_matrix", "dim": int(rho.shape[0]), "matrix": to_pairs(rho)}
+
+
+def assemblage_to_json(assemblage):
+    """Every outcome of every setting, its state as the dense matrix of its spectrum."""
+    settings = [
+        {
+            "label": rec.label,
+            "outcomes": [
+                {"label": lab, "p": float(p), "rho": to_pairs(st.reconstruct())}
+                for lab, p, st in zip(rec.outcomes, rec.probabilities, rec.states)
+            ],
+        }
+        for rec in assemblage.settings
+    ]
+    return {"type": "assemblage", "d_b": assemblage.d_b, "settings": settings}
+
+
+def save_json(doc, path):
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

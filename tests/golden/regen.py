@@ -7,6 +7,7 @@ file, row, column and old -> new.  ``CONFIGS`` is also what
 """
 
 import argparse
+import difflib
 import tempfile
 from pathlib import Path
 
@@ -27,22 +28,28 @@ CONFIGS = {
 def moved_cells(name: str, old: str, new: str) -> list[str]:
     """One line per cell of table ``name`` that differs between its ``old`` and ``new`` text.
 
-    Rows count data lines from 1 and are tagged with their first cell.
+    Rows are aligned with ``difflib.SequenceMatcher``, so a row inserted or
+    removed is listed once as added or removed and the rows after it keep
+    their partners.  Rows count data lines from 1 (in ``new``, or in ``old``
+    for a removed row) and changed ones are tagged with their first cell.
     """
     old_rows = [line.split(",") for line in old.splitlines()]
     new_rows = [line.split(",") for line in new.splitlines()]
     if old_rows[:1] != new_rows[:1]:
         return [f"{name} header: {','.join(old_rows[0]) if old_rows else ''} -> {','.join(new_rows[0])}"]
     header = new_rows[0]
+    old_lines, new_lines = old.splitlines()[1:], new.splitlines()[1:]
     lines = []
-    for r in range(1, max(len(old_rows), len(new_rows))):
-        if r >= len(old_rows) or r >= len(new_rows):
-            side, row = ("added", new_rows[r]) if r >= len(old_rows) else ("removed", old_rows[r])
-            lines.append(f"{name} row {r} {side}: {','.join(row)}")
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False).get_opcodes():
+        if tag == "equal":
             continue
-        for col, a, b in zip(header, old_rows[r], new_rows[r]):
-            if a != b:
-                lines.append(f"{name} row {r} ({header[0]}={new_rows[r][0]}) {col}: {a} -> {b}")
+        paired = min(i2 - i1, j2 - j1)  # a replaced block pairs its rows in order
+        for i, j in zip(range(i1 + 1, i1 + 1 + paired), range(j1 + 1, j1 + 1 + paired)):
+            for col, a, b in zip(header, old_rows[i], new_rows[j]):
+                if a != b:
+                    lines.append(f"{name} row {j} ({header[0]}={new_rows[j][0]}) {col}: {a} -> {b}")
+        lines += [f"{name} row {i} removed: {','.join(old_rows[i])}" for i in range(i1 + 1 + paired, i2 + 1)]
+        lines += [f"{name} row {j} added: {','.join(new_rows[j])}" for j in range(j1 + 1 + paired, j2 + 1)]
     return lines
 
 

@@ -26,7 +26,7 @@ from steerkit.experiments import (
     split_dicke_assemblage,
     split_dicke_rows,
 )
-from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError
+from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, factor_spectrum
 from steerkit.metrology import as_state, make_povm, povm_from_basis, qfi, variance
 from steerkit.pure import optimal_assemblage
 from steerkit.states import (
@@ -269,6 +269,16 @@ class TestReid:
         assert rhs < 1e-18  # vanishing polarisation kills the commutator bound
         assert not lhs < rhs
         assert report.delta > 1e-2  # while the metrological witness fires
+
+    def test_reduced_spectrum_built_once(self, monkeypatch):
+        import steerkit.assemblage as module
+
+        asm = cat_assemblage(0.5)
+        mode = fock_space(asm.d_b)
+        calls = []
+        monkeypatch.setattr(module, "factor_spectrum", lambda *args: calls.append(1) or factor_spectrum(*args))
+        reid_witness(asm, mode.x, mode.p)
+        assert len(calls) == 1
 
 
 def joint_cfi(assemblage, setting_label, povm_b, h):
@@ -557,6 +567,18 @@ class TestOutcomeIdentity:
             outcomes=outcomes,
         )
         with pytest.raises(ValidationError, match="distinct label per outcome"):
+            make_assemblage([rec], 2)
+
+    def test_repeated_setting_label_rejected(self):
+        # a report's argmax_setting and argmin_setting could not say which of two "sz" settings won
+        z = bell_assemblage().settings[0]
+        with pytest.raises(ValidationError, match=r"one distinct label per setting, got \('sz', 'sz'\)"):
+            make_assemblage([z, z], 2)
+
+    @pytest.mark.parametrize("probabilities", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_probability_rejected(self, probabilities):
+        rec = SettingRecord("x", np.array(probabilities), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        with pytest.raises(ValidationError, match="negative or NaN probability"):
             make_assemblage([rec], 2)
 
 

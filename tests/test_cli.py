@@ -8,9 +8,9 @@ import pytest
 
 from steerkit.cli import MAX_RANGE_POINTS, main, parse_range
 from steerkit.linalg import ValidationError
-from steerkit.serialize import save_json, state_to_json
 from steerkit.states import ghz_state
 
+from conftest import assemblage_to_json, density_to_json, save_json, state_to_json
 from golden.regen import CONFIGS, moved_cells
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +62,16 @@ INVALID_COMMANDS = {
     "estimate_over_reps_limit": ["estimate", "--reps", "1000000000000"],
     "estimate_shots_past_float_range": ["estimate", "--shots", "1" + "0" * 400],
     "estimate_reps_past_float_range": ["estimate", "--reps", "1" + "0" * 400],
+    # witness documents with a non-finite number or a repeated setting label (``WITNESS_ERRORS``)
+    "witness_nan_rho": ["witness", "{tmp}/asm_nan_rho.json", "--observable", "{tmp}/obs.json"],
+    "witness_nan_p": ["witness", "{tmp}/asm_nan_p.json", "--observable", "{tmp}/obs.json"],
+    "witness_nan_amplitude": ["witness", "{tmp}/bell_nan.json", "--observable", "{tmp}/obs.json"],
+    "witness_nan_observable": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_nan.json"],
+    "witness_infinite_observable": ["witness", "{tmp}/bell.json", "--observable", "{tmp}/obs_inf.json"],
+    "witness_observable_past_float_range": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_1e400.json"],
+    "witness_observable_integer_past_float_range": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_int.json"],
+    "witness_observable_integer_of_5000_digits": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_digits.json"],
+    "witness_repeated_setting_label": ["witness", "{tmp}/asm_repeated_setting.json", "--observable", "{tmp}/obs.json"],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -82,21 +92,57 @@ OVER_LIMIT = {
     "estimate_reps_past_float_range": "MAX_ESTIMATE_REPS",
 }
 
+# what the message of each bad witness document must name: the path of its non-finite number, the file
+# that json cannot read, or the rule a repeated setting label breaks
+WITNESS_ERRORS = {
+    "witness_nan_rho": "$.settings[0].outcomes[0].rho[0][0]:",
+    "witness_nan_p": "$.settings[0].outcomes[0].p:",
+    "witness_nan_amplitude": "$.amplitudes[0]:",
+    "witness_nan_observable": "$.matrix[0][0]:",
+    "witness_infinite_observable": "$.matrix[0][0]:",
+    "witness_observable_past_float_range": "$.matrix[0][0]:",
+    "witness_observable_integer_past_float_range": "$.matrix[0][0]:",
+    "witness_observable_integer_of_5000_digits": "obs_digits.json: not valid JSON",
+    "witness_repeated_setting_label": "need one distinct label per setting",
+}
+
+
+def with_value(doc, keys, value):
+    """A deep copy of the JSON document ``doc`` with the entry at the path ``keys`` set to ``value``."""
+    doc = entry = json.loads(json.dumps(doc))
+    *head, last = keys
+    for key in head:
+        entry = entry[key]
+    entry[last] = value
+    return doc
+
 
 @pytest.fixture
 def witness_files(tmp_path):
     """tmp_path holding witness inputs and an observable (obs.json, sigma_z).
 
     foo.json is of unknown "type"; bell.json is a Bell state and asm.json its
-    sz/sx assemblage.
+    sz/sx assemblage.  The documents of ``WITNESS_ERRORS`` change one entry
+    of these: a NaN in bell_nan.json, asm_nan_p.json and asm_nan_rho.json;
+    NaN, Infinity, 1e400, 10^400 or a 5,000-digit integer in obs_nan.json,
+    obs_inf.json, obs_1e400.json, obs_int.json and obs_digits.json; and sx
+    relabelled sz in asm_repeated_setting.json.
     """
     from steerkit.experiments import ghz_assemblage
-    from steerkit.serialize import assemblage_to_json
 
+    nan = float("nan")
     (tmp_path / "foo.json").write_text('{"type": "foo"}', encoding="utf-8")
-    save_json(state_to_json(ghz_state(2)), tmp_path / "bell.json")
-    save_json(assemblage_to_json(ghz_assemblage(1)), tmp_path / "asm.json")
+    bell, asm = state_to_json(ghz_state(2)), assemblage_to_json(ghz_assemblage(1))
+    save_json(bell, tmp_path / "bell.json")
+    save_json(asm, tmp_path / "asm.json")
     save_json({"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, tmp_path / "obs.json")
+    save_json(with_value(bell, ("amplitudes", 0, 0), nan), tmp_path / "bell_nan.json")
+    save_json(with_value(asm, ("settings", 0, "outcomes", 0, "p"), nan), tmp_path / "asm_nan_p.json")
+    save_json(with_value(asm, ("settings", 0, "outcomes", 0, "rho", 0, 0, 0), nan), tmp_path / "asm_nan_rho.json")
+    save_json(with_value(asm, ("settings", 1, "label"), asm["settings"][0]["label"]), tmp_path / "asm_repeated_setting.json")
+    for name, number in (("nan", "NaN"), ("inf", "Infinity"), ("1e400", "1e400"), ("int", "1" + "0" * 400), ("digits", "1" * 5000)):
+        text = f'{{"matrix": [[[{number}, 0], [0, 0]], [[0, 0], [-1, 0]]]}}'
+        (tmp_path / f"obs_{name}.json").write_text(text, encoding="utf-8")
     return tmp_path
 
 
@@ -161,6 +207,11 @@ class TestExitCodes:
     def test_over_limit_names_the_limit(self, key, capsys):
         assert run_cli(INVALID_COMMANDS[key]) == 2
         assert OVER_LIMIT[key] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(WITNESS_ERRORS))
+    def test_bad_witness_document_names_the_field(self, key, witness_files, capsys):
+        assert run_cli([a.format(tmp=witness_files) for a in INVALID_COMMANDS[key]]) == 2
+        assert WITNESS_ERRORS[key] in capsys.readouterr().err
 
     def test_out_of_memory_is_3_without_a_traceback(self, monkeypatch, capsys):
         from steerkit import experiments
@@ -282,7 +333,6 @@ class TestOutputs:
 
     def test_witness_assemblage_input(self, tmp_path):
         from steerkit.experiments import ghz_assemblage
-        from steerkit.serialize import assemblage_to_json
 
         asm_path = tmp_path / "asm.json"
         save_json(assemblage_to_json(ghz_assemblage(2)), asm_path)
@@ -299,7 +349,6 @@ class TestOutputs:
     def test_witness_on_settings_that_differ_within_no_signalling(self, tmp_path, angles):
         # two one-outcome settings whose marginals are 4.2e-10 apart: each tight sandwich
         # bound holds against the marginal of its own setting
-        from steerkit.serialize import assemblage_to_json
 
         from conftest import close_settings_assemblage
 
@@ -311,7 +360,6 @@ class TestOutputs:
 
     def test_witness_assemblage_quantify(self, tmp_path):
         from steerkit.experiments import ghz_assemblage
-        from steerkit.serialize import assemblage_to_json
 
         asm_path = tmp_path / "asm.json"
         save_json(assemblage_to_json(ghz_assemblage(1)), asm_path)
@@ -328,8 +376,6 @@ class TestOutputs:
         assert abs(doc["s_lower_bound"] - 0.5) <= 1e-9
 
     def test_witness_rejects_bare_density(self, tmp_path):
-        from steerkit.serialize import density_to_json
-
         rho_path = tmp_path / "rho.json"
         save_json(density_to_json(np.eye(2) / 2), rho_path)
         obs = tmp_path / "obs.json"
@@ -354,6 +400,10 @@ class TestGoldenFiles:
         new = "k,a,b\n0,1,2.5\n2,3,4\n4,5,6\n"
         assert moved_cells("t.csv", old, new) == ["t.csv row 1 (k=0) b: 2 -> 2.5", "t.csv row 3 added: 4,5,6"]
         assert moved_cells("t.csv", new, new) == []
+        # an inserted row is listed once, and the rows after it keep their partners
+        inserted = "k,a,b\n0,1,2\n1,7,8\n2,3,4\n4,5,6\n"
+        assert moved_cells("t.csv", new.replace("2.5", "2"), inserted) == ["t.csv row 2 added: 1,7,8"]
+        assert moved_cells("t.csv", inserted, old) == ["t.csv row 2 removed: 1,7,8", "t.csv row 4 removed: 4,5,6"]
 
 
 class TestReferenceColumns:

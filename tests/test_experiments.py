@@ -29,14 +29,14 @@ from steerkit.metrology import povm_from_basis, qfi, variance
 from steerkit.pure import s_avg_pure, s_max_pure
 from steerkit.states import spin_ops, wigner_rotation_matrix
 
-from conftest import split_dicke_beamsplitter
+from conftest import partition_labels, split_dicke_beamsplitter
 
 
 def partition_generic_assemblage(n, k, p):
     """Generic assemblage route for the beam-splitter state (small n only)."""
     state = split_dicke_beamsplitter(k, n, p)
     d = state.d_a
-    labels = state.basis_labels_a
+    labels = partition_labels(n)
     eye = np.eye(d, dtype=complex)
     z_basis = eye
     x_basis = np.zeros((d, d), dtype=complex)
@@ -49,7 +49,7 @@ def partition_generic_assemblage(n, k, p):
                 k_row = labels[j][1]
                 k_col = labels[i][1]
                 x_basis[j, i] = w[k_row, k_col]
-    jz_full = np.diag([kb - nb / 2.0 for nb, kb in state.basis_labels_b]).astype(complex)
+    jz_full = np.diag([kb - nb / 2.0 for nb, kb in labels]).astype(complex)
     asm = assemblage_from_pure_state(
         state,
         [("Jz", povm_from_basis(z_basis)), ("Jx", povm_from_basis(x_basis))],

@@ -49,6 +49,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             require_state_vector(np.array([1.0, 0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a NaN deviation passes no "dev > tol" test, so each check asks "not dev <= tol"
+        m = SX.copy()
+        m[0, 1] = bad
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            require_hermitian(m)
+        with pytest.raises(ValidationError, match="norm"):
+            require_state_vector(np.array([bad, 0.0]))
+
 
 class TestHermitianEig:
     def test_identity(self):

@@ -105,8 +105,9 @@ class TestDeferredImports:
         ids=["ghz", "witness"],
     )
     def test_a_command_loads_only_what_it_calls(self, argv, left_out, tmp_path):
-        from steerkit.serialize import save_json, state_to_json
         from steerkit.states import ghz_state
+
+        from conftest import save_json, state_to_json
 
         save_json(state_to_json(ghz_state(2)), tmp_path / "bell.json")
         save_json({"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}, tmp_path / "obs.json")

@@ -25,7 +25,7 @@ from steerkit.states import (
     wigner_rotation_matrix,
 )
 
-from conftest import partial_trace, random_density, reduced_b, split_dicke_beamsplitter
+from conftest import partial_trace, partition_labels, random_density, reduced_b, split_dicke_beamsplitter
 
 
 class TestSpinOps:
@@ -234,9 +234,8 @@ class TestSplitDickeFixed:
 
 
 def partition_amplitude(state, n, k, n_a, k_a):
-    ia = state.basis_labels_a.index((n_a, k_a))
-    ib = state.basis_labels_b.index((n - n_a, k - k_a))
-    return state.matrix[ia, ib]
+    labels = partition_labels(n)
+    return state.matrix[labels.index((n_a, k_a)), labels.index((n - n_a, k - k_a))]
 
 
 class TestSplitDickeBeamsplitter:
@@ -245,7 +244,7 @@ class TestSplitDickeBeamsplitter:
         mat = state.matrix
         live = np.argwhere(np.abs(mat) > 1e-12)
         for i, j in live:
-            n_a, _ = state.basis_labels_a[i]
+            n_a, _ = partition_labels(2)[i]
             assert n_a == 2
 
     def test_two_particle_half_split(self):
@@ -262,7 +261,7 @@ class TestSplitDickeBeamsplitter:
     def test_reduced_variance_closed_form(self):
         for n, k, p in [(4, 2, 0.5), (6, 3, 0.3), (8, 2, 0.7)]:
             state = split_dicke_beamsplitter(k, n, p)
-            labels_b = state.basis_labels_b
+            labels_b = partition_labels(n)
             jz_vals = np.array([kb - nb / 2.0 for (nb, kb) in labels_b])
             weights = np.sum(np.abs(state.matrix) ** 2, axis=0)
             mean = float(np.dot(weights, jz_vals))
