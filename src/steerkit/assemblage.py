@@ -21,7 +21,7 @@ and included in their candidate lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,11 +51,6 @@ def _stacked(weights, states, rows: slice = slice(None)) -> tuple[np.ndarray, fl
     v = np.concatenate([st.eigenvectors[rows] for st in states], axis=1)
     w = np.concatenate([p * (st.eigenvalues - st.floor) for p, st in zip(weights, states)])
     return v * np.sqrt(w), float(weights @ [st.floor for st in states])
-
-
-def _block(g: np.ndarray, mu: float) -> tuple[float, Spectrum]:
-    """(p, spectrum) of the sub-normalized block G G^dag + mu I, with p = ||G||_F^2 + mu d_B its trace."""
-    return float(np.vdot(g, g).real) + mu * len(g), factor_spectrum(g, mu)
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,11 @@ def _marginal_deviation(rec0: SettingRecord, rec1: SettingRecord, d_b: int) -> f
 def make_assemblage(settings, d_b: int) -> Assemblage:
     """Validate probabilities, outcome and setting labels, conditional states and no-signalling.
 
-    Records without outcome labels get their positions "0", "1", ... as
-    labels.  Conditional states go through ``as_state``: amplitude vectors
-    and density matrices are checked and diagonalised there, and spectral
-    states are checked as they are.
+    An assemblage needs at least one setting.  Records without outcome
+    labels get their positions "0", "1", ... as labels.  Conditional states
+    go through ``as_state``, the one place they are checked: amplitude
+    vectors and density matrices are checked and diagonalised there, and
+    spectral states are checked as they are.
     """
     recs = []
     for rec in settings:
@@ -167,33 +163,37 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
             if st.dim != d_b:
                 raise ValidationError(f"setting {rec.label!r}, outcome {lab}: dimension {st.dim} != {d_b}")
         recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
+    if not recs:
+        raise ValidationError("an assemblage needs at least one setting")
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
     if len(set(out.labels)) != len(recs):
         raise ValidationError(f"need one distinct label per setting, got {out.labels}")
-    if len(recs) > 1:
-        for rec in recs[1:]:
-            dev = _marginal_deviation(recs[0], rec, out.d_b)
-            if dev > TOL.no_signal:
-                raise ValidationError(
-                    f"no-signalling violated: marginal of {rec.label!r} deviates from "
-                    f"{recs[0].label!r} by {dev:.3e} (max-abs)"
-                )
+    for rec in recs[1:]:
+        dev = _marginal_deviation(recs[0], rec, out.d_b)
+        if not dev <= TOL.no_signal:  # a NaN deviation fails too
+            raise ValidationError(
+                f"no-signalling violated: marginal of {rec.label!r} deviates from "
+                f"{recs[0].label!r} by {dev:.3e} (max-abs)"
+            )
     return out
 
 
-def _setting(label, outcome_labels, weighted) -> SettingRecord:
+def _setting(label, outcome_labels, blocks) -> SettingRecord:
     """Condition on each outcome of one setting, keeping the survivors' labels.
 
-    ``weighted`` holds (p(a), block) per outcome, the block being the
-    ``Spectrum`` of the sub-normalized p rho_a (``_block``).  Outcomes with p
-    below ``TOL.prob_floor`` are dropped; the others keep their own label and
-    are checked at block scale by ``as_state``.
+    ``blocks`` holds (G, mu) per outcome, the sub-normalized
+    p rho_a = G G^dag + mu I, whose trace p = ||G||_F^2 + mu d_B is the
+    outcome's probability.  Outcomes with p below ``TOL.prob_floor`` are
+    dropped before any SVD; the others keep their own label, and rho_a is
+    their ``factor_spectrum`` divided by p, checked by ``make_assemblage``.
     """
     probs, states, kept = [], [], []
-    for lab, (p, block) in zip(outcome_labels, weighted):
+    for lab, (g, mu) in zip(outcome_labels, blocks):
+        p = float(np.vdot(g, g).real) + mu * len(g)
         if p < TOL.prob_floor:
             continue
-        states.append(as_state(block, p, f"conditional state {label}/{lab}"))
+        st = factor_spectrum(g, mu)
+        states.append(Spectrum(st.eigenvalues / p, st.eigenvectors, mu / p))
         probs.append(p)
         kept.append(str(lab))
     return SettingRecord(
@@ -210,7 +210,7 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
     multiplied once per setting by the stacked K_a^dag of the POVM factors
     (E_a = K_a K_a^dag).  Outcome a's rows G_a of that product, regrouped to
     d_B rows, give tr_A[(E_a (x) 1) rho_AB] = G_a G_a^dag + floor tr(E_a) I
-    (``_block``), so a state of rank r conditions on d_B x k_a r matrices.
+    (``_setting``), so a state of rank r conditions on d_B x k_a r matrices.
     Outcomes keep their POVM labels.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
@@ -225,11 +225,11 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
         g = dagger(np.concatenate(povm.factors, axis=1)) @ f  # K^dag F for every outcome at once
         ends = np.cumsum([k.shape[1] for k in povm.factors])[:-1]
-        weighted = (  # each outcome's rows of G, one (d_B, r) block per column of K side by side
-            _block(np.moveaxis(rows.reshape(-1, d_b, r), 0, 1).reshape(d_b, -1), st.floor * float(np.vdot(k, k).real))
+        blocks = (  # each outcome's rows of G, one (d_B, r) block per column of K side by side
+            (np.moveaxis(rows.reshape(-1, d_b, r), 0, 1).reshape(d_b, -1), st.floor * float(np.vdot(k, k).real))
             for k, rows in zip(povm.factors, np.split(g, ends))
         )
-        recs.append(_setting(label, povm.labels, weighted))
+        recs.append(_setting(label, povm.labels, blocks))
     return make_assemblage(recs, d_b)
 
 
@@ -248,7 +248,7 @@ class LHSModel:
 
     weights: np.ndarray
     local_states: tuple[np.ndarray, ...]
-    responses: dict[str, np.ndarray] = field(default_factory=dict)
+    responses: dict[str, np.ndarray]
 
 
 def assemblage_from_lhs(model: LHSModel) -> Assemblage:
@@ -259,7 +259,7 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
     w = np.asarray(model.weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must be a nonempty vector")
-    if float(w.min()) < 0 or abs(float(w.sum()) - 1.0) > TOL.weight_sum:
+    if not (float(w.min()) >= 0 and abs(float(w.sum()) - 1.0) <= TOL.weight_sum):  # a NaN fails too
         raise ValidationError(f"weights must form a distribution, sum = {w.sum():.15f}")
     sigmas = [as_state(s, name=f"local state {i}") for i, s in enumerate(model.local_states)]
     if len(sigmas) != w.size:
@@ -272,15 +272,12 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
         r = np.asarray(resp, dtype=float)
         if r.ndim != 2 or r.shape[1] != w.size:
             raise ValidationError(f"response for {label!r} must be (n_outcomes, {w.size})")
-        if float(r.min()) < 0:
-            raise ValidationError(f"response for {label!r} has negative entries")
+        if not float(r.min()) >= 0:
+            raise ValidationError(f"response for {label!r} has negative or NaN entries")
         col_dev = float(np.max(np.abs(r.sum(axis=0) - 1.0)))
-        if col_dev > TOL.weight_sum:
+        if not col_dev <= TOL.weight_sum:
             raise ValidationError(f"response columns for {label!r} sum to 1 +/- {col_dev:.3e}")
-        weighted = (_block(*_stacked(r[a] * w, sigmas)) for a in range(r.shape[0]))
-        recs.append(_setting(label, [str(a) for a in range(r.shape[0])], weighted))
-    if not recs:
-        raise ValidationError("LHS model defines no settings")
+        recs.append(_setting(label, map(str, range(len(r))), (_stacked(row * w, sigmas) for row in r)))
     return make_assemblage(recs, d_b)
 
 

@@ -36,7 +36,6 @@ from .states import (
     default_fock_cutoff,
     dicke_bounds,
     fock_space,
-    ghz_state,
     ghz_white_noise_state,
     hybrid_cat,
     collective_jz,
@@ -88,11 +87,8 @@ def qubit_basis_povm(axis: str) -> POVM:
 
 
 def ghz_assemblage(n_bob: int, phi: float = 0.0) -> Assemblage:
-    """GHZ state of n_bob + 1 qubits with Alice measuring sigma_z or sigma_x."""
-    state = ghz_state(n_bob + 1, phi)
-    return assemblage_from_pure_state(
-        state, [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))]
-    )
+    """GHZ state of n_bob + 1 qubits with Alice measuring sigma_z or sigma_x: the noisy one at p = 1."""
+    return ghz_noise_assemblage(n_bob, phi, 1.0)
 
 
 def ghz_noise_assemblage(n_bob: int, phi: float, p: float) -> Assemblage:
@@ -157,15 +153,9 @@ def _ghz_sizes(n_values) -> list[int]:
 
 
 def ghz_rows(n_values, phi: float = 0.0):
-    header = ["n_bob", "cond_qfi", "cond_qfi_ref", "cond_var", "cond_var_ref", "delta", "steering"]
-
-    def one(n_bob: int):
-        asm = ghz_assemblage(n_bob, phi)
-        jz = collective_jz(n_bob)
-        report = steering_witness(asm, jz)
-        return [n_bob, report.cond_qfi, float(n_bob**2), report.cond_var, 0.0, report.delta, int(report.steering)]
-
-    return header, parallel_map(one, _ghz_sizes(n_values))
+    """``ghz_noise_rows`` at p = 1, without its p and steering_asymptotic columns: references n_bob^2 and 0."""
+    header, rows = ghz_noise_rows(n_values, [1.0], phi)
+    return [header[0], *header[2:-1]], [[row[0], *row[2:-1]] for row in rows]
 
 
 def ghz_noise_closed_forms(n_bob: int, p: float) -> tuple[float, float]:

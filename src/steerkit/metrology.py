@@ -51,10 +51,6 @@ class POVM:
     def dim(self) -> int:
         return self.factors[0].shape[0]
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.factors)
-
 
 def make_povm(effects, labels=None) -> POVM:
     """Validate effects (PSD, summing to identity) and build a POVM.
@@ -94,7 +90,7 @@ def _complete_povm(factors, labels) -> POVM:
     """Check max |sum_a K_a K_a^dag - I| <= ``TOL.povm_identity`` with one matmul, then label and build the POVM."""
     stacked = np.concatenate(factors, axis=1)
     dev = float(np.max(np.abs(stacked @ dagger(stacked) - np.eye(stacked.shape[0]))))
-    if dev > TOL.povm_identity:
+    if not dev <= TOL.povm_identity:  # a NaN deviation fails too
         raise ValidationError(f"POVM effects sum deviates from identity by {dev:.3e}")
     labels = tuple(str(i) for i in range(len(factors))) if labels is None else tuple(str(lab) for lab in labels)
     if len(labels) != len(factors):
@@ -102,38 +98,36 @@ def _complete_povm(factors, labels) -> POVM:
     return POVM(factors=tuple(factors), labels=labels)
 
 
-def as_state(state, p: float = 1.0, name: str = "state") -> Spectrum:
-    """Spectral form of the state ``state / p`` above its floor.
+def as_state(state, name: str = "state") -> Spectrum:
+    """Spectral form of a state above its floor.
 
-    An amplitude vector sqrt(p) psi becomes the rank-1 state psi, checked for
-    unit norm.  A matrix p rho gets one ``eigh``; its eigenvalues <= 0 are
-    then dropped.  A ``Spectrum`` p rho is checked as given.  For both, the
-    floor must be >= 0, every eigenvalue at least the floor (to ``TOL.psd``)
-    and the trace sum(lam) + floor (d - r) equal to p, all judged at the
-    block's own scale, before the division by p, so roundoff on
-    small-probability blocks is not amplified into spurious rejections.
+    An amplitude vector becomes the rank-1 state, checked for unit norm.  A
+    matrix gets one ``eigh``; its eigenvalues <= 0 are then dropped.  A
+    ``Spectrum`` is checked as given.  For both, the floor must be >= 0,
+    every eigenvalue at least the floor (to ``TOL.psd``) and the trace
+    sum(lam) + floor (d - r) equal to 1.
     """
     if isinstance(state, Spectrum):
-        return _scaled(state, p, name)
+        return _checked(state, name)
     st = np.asarray(state, dtype=complex)
     if st.ndim == 1:
-        return Spectrum(np.ones(1), require_state_vector(st if p == 1.0 else st / np.sqrt(p), name)[:, None])
-    return _scaled(Spectrum(*np.linalg.eigh(require_hermitian(st, name=name))), p, name).support()
+        return Spectrum(np.ones(1), require_state_vector(st, name)[:, None])
+    return _checked(Spectrum(*np.linalg.eigh(require_hermitian(st, name=name))), name).support()
 
 
-def _scaled(st: Spectrum, p: float, name: str) -> Spectrum:
-    """``st / p`` once its floor, its eigenvalues above the floor and its trace pass at block scale."""
+def _checked(st: Spectrum, name: str) -> Spectrum:
+    """``st`` once its floor, its eigenvalues above the floor and its trace pass; a NaN fails one of them."""
     mu, lam = st.floor, st.eigenvalues.tolist()  # a list: r is mostly 1, where numpy reductions cost more than the check
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ValidationError(f"{name} has negative floor {mu:.3e}")
     lo = min(lam, default=mu) - mu
-    if lo < TOL.psd:
+    if not lo >= TOL.psd:
         above = f" above its floor {mu:.3e}" if mu else ""
         raise ValidationError(f"{name} has negative eigenvalue {lo:.3e}{above} below {TOL.psd:.1e}")
-    trace = (sum(lam) + mu * (st.dim - len(lam))) / p
-    if abs(trace - 1.0) > TOL.trace:
+    trace = sum(lam) + mu * (st.dim - len(lam))
+    if not abs(trace - 1.0) <= TOL.trace:
         raise ValidationError(f"{name} eigenvalues sum to {trace:.12f}, not 1")
-    return st if p == 1.0 else Spectrum(st.eigenvalues / p, st.eigenvectors, mu / p)
+    return st
 
 
 def _one(operator, name: str) -> np.ndarray:

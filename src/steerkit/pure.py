@@ -173,7 +173,7 @@ def _check_distribution(p) -> np.ndarray:
     if vec.ndim == 0 or vec.shape[-1] == 0:
         raise ValidationError("need a nonempty probability vector")
     low, total = vec.min(axis=-1), vec.sum(axis=-1)
-    bad = (low < -1e-12) | (np.abs(total - 1.0) > 1e-9)
+    bad = ~((low >= -1e-12) & (np.abs(total - 1.0) <= 1e-9))  # a NaN is bad too
     if bad.any():
         i = np.argwhere(bad)[0]
         where = f" at stack index {tuple(i.tolist())}" if i.size else ""

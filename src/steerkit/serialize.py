@@ -29,6 +29,11 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
+def _size(value) -> bool:
+    """A JSON integer >= 1 (``json`` reads true and false as bools, which are ints to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _finite(value) -> bool:
     """A JSON number that is a finite float (``json`` reads NaN, Infinity and 1e400 as non-finite floats)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -74,8 +79,8 @@ def _require_keys(doc: dict, keys, path: str):
 def state_from_json(doc: dict) -> BipartitePureState:
     _require_keys(doc, ("dims", "amplitudes"), "$")
     dims = doc["dims"]
-    if not isinstance(dims, list) or len(dims) != 2 or not all(isinstance(d, int) for d in dims):
-        _fail("$.dims", f"expected [d_A, d_B] integers, got {dims!r}")
+    if not isinstance(dims, list) or len(dims) != 2 or not all(_size(d) for d in dims):
+        _fail("$.dims", f"expected [d_A, d_B] positive integers, got {dims!r}")
     return BipartitePureState(dims=(dims[0], dims[1]), amplitudes=vector_from_json(doc["amplitudes"], "$.amplitudes"))
 
 
@@ -89,7 +94,7 @@ def density_from_json(doc: dict) -> np.ndarray:
 
 def assemblage_from_json(doc: dict) -> Assemblage:
     _require_keys(doc, ("d_b", "settings"), "$")
-    if not isinstance(doc["d_b"], int) or doc["d_b"] < 1:
+    if not _size(doc["d_b"]):
         _fail("$.d_b", f"expected a positive integer, got {doc['d_b']!r}")
     if not isinstance(doc["settings"], list) or not doc["settings"]:
         _fail("$.settings", "expected a nonempty list")

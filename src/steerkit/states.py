@@ -30,14 +30,9 @@ from .linalg import Spectrum, ValidationError, as_complex_vector, require_state_
 class SpinOperators:
     """Collective spin components on the symmetric sector of n qubits."""
 
-    n_particles: int
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n_particles + 1
 
 
 def spin_ops(n_particles: int) -> SpinOperators:
@@ -54,7 +49,7 @@ def spin_ops(n_particles: int) -> SpinOperators:
     jx = (raising + raising.T) / 2.0
     jy = (raising - raising.T) / 2j
     jz = np.diag(m).astype(complex)
-    return SpinOperators(n_particles=n, jx=jx.astype(complex), jy=jy, jz=jz)
+    return SpinOperators(jx=jx.astype(complex), jy=jy, jz=jz)
 
 
 @dataclass(frozen=True)
@@ -69,6 +64,8 @@ class BipartitePureState:
 
     def __post_init__(self):
         d_a, d_b = self.dims
+        if d_a < 1 or d_b < 1:
+            raise ValidationError(f"dims must be positive, got {self.dims}")
         vec = as_complex_vector(self.amplitudes, "amplitudes")
         if vec.shape[0] != d_a * d_b:
             raise ValidationError(f"amplitude length {vec.shape[0]} does not match dims {self.dims}")
@@ -248,10 +245,8 @@ def partition_sector_amplitudes(n: int, k, p: float, n_a: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated bosonic mode: indices 0 .. cutoff-1."""
+    """Quadratures x and p of a truncated bosonic mode: indices 0 .. cutoff-1."""
 
-    cutoff: int
-    a_dagger: np.ndarray
     x: np.ndarray
     p: np.ndarray
 
@@ -264,7 +259,7 @@ def fock_space(cutoff: int) -> FockSpace:
     a = a_dag.conj().T
     x = (a + a_dag) / math.sqrt(2.0)
     p = 1j * (a_dag - a) / math.sqrt(2.0)
-    return FockSpace(cutoff=n, a_dagger=a_dag, x=x, p=p)
+    return FockSpace(x=x, p=p)
 
 
 FOCK_TAIL = 1e-12  # the most coherent tail mass P(N >= cutoff) a cutoff leaves out

@@ -28,7 +28,7 @@ from steerkit.experiments import (
 )
 from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, factor_spectrum
 from steerkit.metrology import as_state, make_povm, povm_from_basis, qfi, variance
-from steerkit.pure import optimal_assemblage
+from steerkit.pure import optimal_assemblage, s_avg_pure, s_max_pure
 from steerkit.states import (
     BipartitePureState,
     collective_jz,
@@ -129,6 +129,12 @@ class TestConstruction:
         )
         with pytest.raises(ValidationError, match="probabilities"):
             make_assemblage([rec], 2)
+
+    def test_no_settings_rejected(self):
+        with pytest.raises(ValidationError, match="at least one setting"):
+            assemblage_from_state(np.eye(4) / 4, (2, 2), [])
+        with pytest.raises(ValidationError, match="at least one setting"):
+            assemblage_from_lhs(LHSModel(weights=np.ones(1), local_states=(I2 / 2,), responses={}))
 
 
 class TestLHS:
@@ -492,6 +498,15 @@ class TestTinyProbabilityOutcomes:
         assert report.delta <= 1e-9  # product state never steers
 
 
+NAN = float("nan")
+
+
+def nan_lhs_model(weights=(0.5, 0.5), response=((1.0, 0.0), (0.0, 1.0))):
+    """Two hidden states |0>, |1> read out by setting "X"; the caller puts a NaN in the weights or the response."""
+    return LHSModel(weights=np.array(weights), local_states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                    responses={"X": np.array(response)})
+
+
 class TestErrorContracts:
     def test_empty_assemblage_rejected(self, rng):
         from steerkit.assemblage import Assemblage
@@ -506,6 +521,26 @@ class TestErrorContracts:
         asm = bell_assemblage()
         with pytest.raises(ValidationError):
             conditional_qfi(asm, np.eye(3))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: povm_from_basis(np.array([[NAN, 0.0], [0.0, 1.0]])), "POVM effects"),
+            (lambda: as_state(Spectrum(np.array([0.5, NAN]), np.eye(2)), name="rho"), "rho eigenvalues"),
+            (lambda: as_state(Spectrum(np.ones(1), np.eye(2)[:, :1], NAN), name="rho"), "rho has negative floor"),
+            (lambda: s_avg_pure([NAN, 0.5, 0.5]), "not a probability vector"),
+            (lambda: s_max_pure([NAN, 0.5, 0.5]), "not a probability vector"),
+            (lambda: assemblage_from_lhs(nan_lhs_model(weights=[NAN, 0.5])), "weights"),
+            (lambda: assemblage_from_lhs(nan_lhs_model(response=[[NAN, 0.0], [0.0, 1.0]])), "response for 'X'"),
+            (lambda: make_assemblage([SettingRecord("a", [1.0], (Spectrum(np.ones(1), np.array([[NAN], [0.0]])),)),
+                                      SettingRecord("b", [1.0], (np.array([1.0, 0.0]),))], 2), "marginal of 'b'"),
+        ],
+        ids=["povm_from_basis", "as_state_eigenvalue", "as_state_floor", "s_avg_pure", "s_max_pure",
+             "lhs_weight", "lhs_response", "no_signalling"],
+    )
+    def test_nan_input_is_rejected_by_name(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
 
 def product_assemblage(bits: str):
@@ -647,6 +682,16 @@ class TestFloorConditioning:
             ("x", make_povm([(I2 + 0.6 * SX) / 2, (I2 - 0.6 * SX) / 2], labels=["x+", "x-"])),
         ],
     }
+
+    def test_outcome_below_the_probability_floor_is_never_diagonalised(self, monkeypatch):
+        import steerkit.assemblage as module
+
+        shapes = []
+        monkeypatch.setattr(module, "factor_spectrum", lambda g, mu=0.0: shapes.append(g.shape) or factor_spectrum(g, mu))
+        product = BipartitePureState(dims=(2, 2), amplitudes=np.array([1.0, 0.0, 0.0, 0.0]))  # |00>: z- has p = 0
+        asm = assemblage_from_pure_state(product, [("z", qubit_basis_povm("z"))])
+        assert asm.setting("z").outcomes == ("z+",)
+        assert shapes == [(2, 1)]
 
     @pytest.mark.parametrize("kind", sorted(SETTINGS))
     def test_floored_state_matches_dense(self, rng, kind):

@@ -72,6 +72,9 @@ INVALID_COMMANDS = {
     "witness_observable_integer_past_float_range": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_int.json"],
     "witness_observable_integer_of_5000_digits": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_digits.json"],
     "witness_repeated_setting_label": ["witness", "{tmp}/asm_repeated_setting.json", "--observable", "{tmp}/obs.json"],
+    "witness_boolean_dims": ["witness", "{tmp}/bell_bool_dims.json", "--observable", "{tmp}/obs.json"],
+    "witness_negative_dims": ["witness", "{tmp}/bell_negative_dims.json", "--observable", "{tmp}/obs.json"],
+    "witness_boolean_d_b": ["witness", "{tmp}/asm_bool_d_b.json", "--observable", "{tmp}/obs_1.json"],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -92,8 +95,8 @@ OVER_LIMIT = {
     "estimate_reps_past_float_range": "MAX_ESTIMATE_REPS",
 }
 
-# what the message of each bad witness document must name: the path of its non-finite number, the file
-# that json cannot read, or the rule a repeated setting label breaks
+# what the message of each bad witness document must name: the path of its non-finite number or of a
+# size that is not a positive integer, the file that json cannot read, or the rule a repeated setting label breaks
 WITNESS_ERRORS = {
     "witness_nan_rho": "$.settings[0].outcomes[0].rho[0][0]:",
     "witness_nan_p": "$.settings[0].outcomes[0].p:",
@@ -104,6 +107,9 @@ WITNESS_ERRORS = {
     "witness_observable_integer_past_float_range": "$.matrix[0][0]:",
     "witness_observable_integer_of_5000_digits": "obs_digits.json: not valid JSON",
     "witness_repeated_setting_label": "need one distinct label per setting",
+    "witness_boolean_dims": "$.dims:",
+    "witness_negative_dims": "$.dims:",
+    "witness_boolean_d_b": "$.d_b:",
 }
 
 
@@ -125,8 +131,11 @@ def witness_files(tmp_path):
     sz/sx assemblage.  The documents of ``WITNESS_ERRORS`` change one entry
     of these: a NaN in bell_nan.json, asm_nan_p.json and asm_nan_rho.json;
     NaN, Infinity, 1e400, 10^400 or a 5,000-digit integer in obs_nan.json,
-    obs_inf.json, obs_1e400.json, obs_int.json and obs_digits.json; and sx
-    relabelled sz in asm_repeated_setting.json.
+    obs_inf.json, obs_1e400.json, obs_int.json and obs_digits.json; sx
+    relabelled sz in asm_repeated_setting.json.  bell_bool_dims.json
+    ([true, 2]), bell_negative_dims.json ([-1, -2]) and asm_bool_d_b.json
+    (true, with the 1 x 1 observable obs_1.json) hold sizes that are not
+    positive integers but match their two amplitudes or 1 x 1 rho.
     """
     from steerkit.experiments import ghz_assemblage
 
@@ -140,6 +149,12 @@ def witness_files(tmp_path):
     save_json(with_value(asm, ("settings", 0, "outcomes", 0, "p"), nan), tmp_path / "asm_nan_p.json")
     save_json(with_value(asm, ("settings", 0, "outcomes", 0, "rho", 0, 0, 0), nan), tmp_path / "asm_nan_rho.json")
     save_json(with_value(asm, ("settings", 1, "label"), asm["settings"][0]["label"]), tmp_path / "asm_repeated_setting.json")
+    plus = {"type": "bipartite_pure_state", "amplitudes": [[0.5**0.5, 0], [0.5**0.5, 0]]}
+    save_json({**plus, "dims": [True, 2]}, tmp_path / "bell_bool_dims.json")
+    save_json({**plus, "dims": [-1, -2]}, tmp_path / "bell_negative_dims.json")
+    one = {"type": "assemblage", "settings": [{"label": "z", "outcomes": [{"p": 1.0, "rho": [[[1, 0]]]}]}]}
+    save_json({**one, "d_b": True}, tmp_path / "asm_bool_d_b.json")
+    save_json({"matrix": [[[1, 0]]]}, tmp_path / "obs_1.json")
     for name, number in (("nan", "NaN"), ("inf", "Infinity"), ("1e400", "1e400"), ("int", "1" + "0" * 400), ("digits", "1" * 5000)):
         text = f'{{"matrix": [[[{number}, 0], [0, 0]], [[0, 0], [-1, 0]]]}}'
         (tmp_path / f"obs_{name}.json").write_text(text, encoding="utf-8")

@@ -18,6 +18,7 @@ from steerkit.experiments import (
     ghz_rows,
     multigen_rows,
     quantify_rows,
+    qubit_basis_povm,
     split_dicke_assemblage,
     split_dicke_partition_quantities,
     split_dicke_partition_rows,
@@ -27,7 +28,7 @@ from steerkit.experiments import (
 from steerkit.linalg import TOL, NumericError, ValidationError
 from steerkit.metrology import povm_from_basis, qfi, variance
 from steerkit.pure import s_avg_pure, s_max_pure
-from steerkit.states import spin_ops, wigner_rotation_matrix
+from steerkit.states import collective_jz, ghz_state, spin_ops, wigner_rotation_matrix
 
 from conftest import partition_labels, split_dicke_beamsplitter
 
@@ -140,6 +141,18 @@ class TestRowTables:
             assert abs(cq - cq_ref) < 1e-9 * cq_ref
             assert abs(cv) < 1e-12
             assert steer == 1
+
+    def test_ghz_rows_are_the_noisy_table_at_p_1(self):
+        header, rows = ghz_rows(range(1, 6), 0.4)
+        noisy_header, noisy_rows = ghz_noise_rows(range(1, 6), [1.0], 0.4)
+        assert [name for name in noisy_header if name not in header] == ["p", "steering_asymptotic"]
+        keep = [noisy_header.index(name) for name in header]
+        assert rows == [[row[i] for i in keep] for row in noisy_rows]
+        # and the pure route, assemblage_from_pure_state on the GHZ vector, gives the same bits
+        settings = [("sz", qubit_basis_povm("z")), ("sx", qubit_basis_povm("x"))]
+        for n_bob, cond_qfi, _, cond_var, _, delta, _ in rows:
+            report = steering_witness(assemblage_from_pure_state(ghz_state(n_bob + 1, 0.4), settings), collective_jz(n_bob))
+            assert (report.cond_qfi, report.cond_var, report.delta) == (cond_qfi, cond_var, delta)
 
     def test_ghz_noise_rows_match_closed_form(self):
         header, rows = ghz_noise_rows([3], [0.3, 0.7])

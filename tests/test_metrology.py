@@ -27,7 +27,7 @@ class TestPOVM:
 
     def test_projective_factory(self):
         povm = povm_from_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-        assert povm.n_outcomes == 2
+        assert len(povm.factors) == 2
         assert np.allclose(sum(k @ k.conj().T for k in povm.factors), I2)
 
     def test_projective_factory_rejects_incomplete_basis(self):
@@ -175,11 +175,6 @@ class TestRankR:
     def test_block_below_psd_floor_rejected(self):
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             as_state(np.diag([1.0 + 2e-10, -2e-10]))
-        # judged at block scale: p rho with p = 1e-8
-        with pytest.raises(ValidationError, match="negative eigenvalue"):
-            as_state(np.diag([1e-8 + 2e-10, -2e-10]), 1e-8)
-        st = as_state(np.diag([1e-8 + 5e-11, -5e-11]), 1e-8)
-        assert st.eigenvalues.size == 1 and abs(st.eigenvalues[0] - 1.005) < 1e-12
 
 
 class TestQFIWhiteNoise:
@@ -344,9 +339,6 @@ class TestFloor:
             as_state(Spectrum(np.array([0.1, 0.7]), v[:, :2], 0.2))
         with pytest.raises(ValidationError, match="sum to"):
             as_state(Spectrum(np.array([0.5]), v[:, :1], 0.2))
-        # judged at block scale: p rho with p = 1e-8
-        st = as_state(Spectrum(1e-8 * np.array([0.2, 0.6]), v[:, :2], 1e-8 * 0.2), 1e-8)
-        assert close(st.floor, 0.2) and np.allclose(st.eigenvalues, [0.2, 0.6], rtol=1e-12)
 
 
 class TestDiagonalOperators:

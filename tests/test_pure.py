@@ -186,7 +186,7 @@ class TestOptimalPOVMs:
             (optimal_povm_var, lambda r: qfi(r, h) / 4.0),
         ):
             povm = builder(state, h)
-            assert povm.n_outcomes == 4
+            assert len(povm.factors) == 4
             total = sum(k @ k.conj().T for k in povm.factors)
             assert np.max(np.abs(total - np.eye(4))) < 1e-10
             asm = assemblage_from_pure_state(state, [("opt", povm)])
@@ -201,7 +201,7 @@ class TestOptimalPOVMs:
         state = BipartitePureState(dims=(5, 3), amplitudes=random_pure(rng, 15))
         h = random_hermitian(rng, 3)
         povm = optimal_povm_qfi(state, h)
-        assert povm.n_outcomes == 5
+        assert len(povm.factors) == 5
         asm = assemblage_from_pure_state(state, [("opt", povm)])
         target = 4.0 * variance(reduced_b(state), h)
         assert abs(conditional_qfi(asm, h)[0] - target) < 1e-8 * max(target, 1e-6)

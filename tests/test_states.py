@@ -394,6 +394,11 @@ class TestBipartitePureState:
         with pytest.raises(ValidationError):
             BipartitePureState(dims=(2, 2), amplitudes=np.array([1.0, 0, 0, 0.2]))
 
+    def test_dims_below_1_rejected(self):
+        # (-1) * (-2) = 2 amplitudes would pass the length check
+        with pytest.raises(ValidationError, match="dims must be positive"):
+            BipartitePureState(dims=(-1, -2), amplitudes=np.array([1.0, 0.0]))
+
     def test_reduced_consistency(self, rng):
         from conftest import random_pure
 
