@@ -1,9 +1,11 @@
 """Assemblages, conditional variance/QFI over settings, and steering witnesses.
 
 An assemblage collects, per measurement setting of Alice, the outcome
-probabilities together with Bob's conditional states.  Each conditional state
-is stored once in spectral form (``linalg.Spectrum``, checked by
-``metrology.as_state``).  A global state V diag(lam) V^dag + mu (I - V V^dag)
+probabilities together with Bob's conditional states.  The conditional states
+of one setting are stored once as one stacked spectrum (``linalg.Spectrum``
+with a leading outcome axis, checked by ``metrology.as_state``), so they are
+conditioned, checked and evaluated in one array pass per setting.  A global
+state V diag(lam) V^dag + mu (I - V V^dag)
 is conditioned through its factor V sqrt(lam - mu): each outcome's block is
 G G^dag plus the floor mu tr(E_a), with G = K_a^dag V sqrt(lam - mu) for the
 POVM factor K_a of E_a = K_a K_a^dag, and its spectrum comes from G, a
@@ -21,7 +23,7 @@ and included in their candidate lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,35 +38,42 @@ from .linalg import (
     max_abs_by_rows,
     qr_r_by_rows,
     require_hermitian,
+    stack,
 )
 from .metrology import as_state, expectation, qfi, variance
 from .states import BipartitePureState
 
 
-def _stacked(weights, states, rows: slice = slice(None)) -> tuple[np.ndarray, float]:
-    """(F, mu) with F F^dag + mu I = sum_j w_j rho_j, or (F[rows], mu), for weights w_j and spectra rho_j.
+def _mixture(weights, states: Spectrum, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(F, mu) with F F^dag + mu I = sum_j w_j rho_j, or (F[rows], mu), for weights w_j and a stack of spectra rho_j.
 
-    F stacks the columns sqrt(w_j (lam_i - mu_j)) v_i and mu = sum_j w_j mu_j.
-    A weight just below 0 (a probability ``make_assemblage`` let through) counts as 0.
+    F holds the columns sqrt(w_j (lam_i - mu_j)) v_i off the floor, state by
+    state, and mu = sum_j w_j mu_j; weights (m, A) give m mixtures.  A weight
+    just below 0 (a probability ``make_assemblage`` let through) counts as 0.
     """
     weights = np.maximum(weights, 0.0)
-    v = np.concatenate([st.eigenvectors[rows] for st in states], axis=1)
-    w = np.concatenate([p * (st.eigenvalues - st.floor) for p, st in zip(weights, states)])
-    return v * np.sqrt(w), float(weights @ [st.floor for st in states])
+    lam, mu = states.eigenvalues, states.floor
+    kept = lam != mu[:, None]  # a stack's padding is left out
+    v = states.eigenvectors[:, rows].transpose(1, 0, 2)[:, kept]
+    w = (weights[..., :, None] * (lam - mu[:, None]))[..., kept]
+    return v * np.sqrt(w)[..., None, :], np.vecdot(weights, mu)
 
 
 @dataclass(frozen=True)
 class SettingRecord:
     """One measurement setting: outcome probabilities and conditional states.
 
-    ``outcomes`` labels each kept outcome, so outcomes dropped below
-    ``TOL.prob_floor`` leave the others identifiable; ``make_assemblage``
+    ``states`` is one stacked ``Spectrum`` with a state per outcome.  Only
+    ``make_assemblage`` also takes a record whose states are a sequence, one
+    state per outcome, and stacks them; every other reader of a record needs
+    the stack.  ``outcomes`` labels each kept outcome, so outcomes dropped
+    below ``TOL.prob_floor`` leave the others identifiable; ``make_assemblage``
     fills missing labels with the positions "0", "1", ...
     """
 
     label: str
     probabilities: np.ndarray
-    states: tuple[Spectrum, ...]
+    states: Spectrum
     outcomes: tuple[str, ...] = ()
 
     @property
@@ -72,8 +81,9 @@ class SettingRecord:
         return len(self.states)
 
     def factor(self, rows: slice = slice(None)) -> tuple[np.ndarray, float]:
-        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a, or (F[rows], mu) (``_stacked``)."""
-        return _stacked(self.probabilities, self.states, rows)
+        """(F, mu) with F F^dag + mu I = sum_a p_a rho_a, or (F[rows], mu) (``_mixture``)."""
+        f, mu = _mixture(self.probabilities, self.states, rows)
+        return f, float(mu)
 
 
 @dataclass(frozen=True)
@@ -139,9 +149,10 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
 
     An assemblage needs at least one setting.  Records without outcome
     labels get their positions "0", "1", ... as labels.  Conditional states
-    go through ``as_state``, the one place they are checked: amplitude
-    vectors and density matrices are checked and diagonalised there, and
-    spectral states are checked as they are.
+    go through ``as_state``, the one place they are checked: a setting's
+    stacked spectrum in one pass, and states given one per outcome one by one
+    (amplitude vectors and density matrices are diagonalised there) before
+    they are stacked.
     """
     recs = []
     for rec in settings:
@@ -156,13 +167,18 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
         dev = abs(float(probs.sum()) - 1.0)
         if not dev <= TOL.prob_sum:
             raise ValidationError(f"setting {rec.label!r}: probabilities sum to {probs.sum():.12f}")
-        states = tuple(
-            as_state(st, name=f"conditional state {rec.label}/{lab}") for lab, st in zip(outcomes, rec.states)
-        )
-        for lab, st in zip(outcomes, states):
-            if st.dim != d_b:
-                raise ValidationError(f"setting {rec.label!r}, outcome {lab}: dimension {st.dim} != {d_b}")
-        recs.append(replace(rec, probabilities=probs, states=states, outcomes=outcomes))
+        names = [f"conditional state {rec.label}/{lab}" for lab in outcomes]
+        if isinstance(rec.states, Spectrum):
+            states = as_state(rec.states, names)
+        else:  # one state per outcome, each checked before the checked states are stacked
+            states = [as_state(st, name) for st, name in zip(rec.states, names)]
+            for lab, st in zip(outcomes, states):
+                if st.dim != d_b:
+                    raise ValidationError(f"setting {rec.label!r}, outcome {lab}: dimension {st.dim} != {d_b}")
+            states = stack(states)
+        if states.dim != d_b:
+            raise ValidationError(f"setting {rec.label!r}: dimension {states.dim} != {d_b}")
+        recs.append(SettingRecord(rec.label, probs, states, outcomes))
     if not recs:
         raise ValidationError("an assemblage needs at least one setting")
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
@@ -178,27 +194,35 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
     return out
 
 
-def _setting(label, outcome_labels, blocks) -> SettingRecord:
-    """Condition on each outcome of one setting, keeping the survivors' labels.
+def _setting(label, outcome_labels, groups) -> SettingRecord:
+    """Condition on every outcome of one setting, keeping the survivors' labels.
 
-    ``blocks`` holds (G, mu) per outcome, the sub-normalized
-    p rho_a = G G^dag + mu I, whose trace p = ||G||_F^2 + mu d_B is the
-    outcome's probability.  Outcomes with p below ``TOL.prob_floor`` are
-    dropped before any SVD; the others keep their own label, and rho_a is
-    their ``factor_spectrum`` divided by p, checked by ``make_assemblage``.
+    ``groups`` holds (positions, G, mu) per block width: the outcomes'
+    positions, the stack (n, d_B, m) of their blocks and their floors (n,).
+    Outcome a is the sub-normalized p rho_a = G_a G_a^dag + mu_a I, whose
+    trace p = ||G_a||_F^2 + mu_a d_B is its probability.  Outcomes with p
+    below ``TOL.prob_floor`` are dropped before the one ``factor_spectrum``
+    of each stack; the others keep their own label, and rho_a is its
+    spectrum divided by p, checked by ``make_assemblage``.
     """
-    probs, states, kept = [], [], []
-    for lab, (g, mu) in zip(outcome_labels, blocks):
-        p = float(np.vdot(g, g).real) + mu * len(g)
-        if p < TOL.prob_floor:
-            continue
+    parts = []
+    for pos, g, mu in groups:
+        flat = g.reshape(len(g), -1)
+        p = np.vecdot(flat, flat).real + mu * g.shape[1]
+        live = ~(p < TOL.prob_floor)
+        if not live.all():  # (when every outcome is kept, the blocks are not copied)
+            pos, g, mu, p = pos[live], g[live], mu[live], p[live]
         st = factor_spectrum(g, mu)
-        states.append(Spectrum(st.eigenvalues / p, st.eigenvectors, mu / p))
-        probs.append(p)
-        kept.append(str(lab))
-    return SettingRecord(
-        label=str(label), probabilities=np.asarray(probs), states=tuple(states), outcomes=tuple(kept)
-    )
+        parts.append((pos, p, Spectrum(st.eigenvalues / p[:, None], st.eigenvectors, st.floor / p)))
+    pos, probs, states = parts[0]
+    if len(parts) > 1:  # outcomes of several widths go back to their order
+        order = np.argsort(np.concatenate([part[0] for part in parts]), kind="stable")
+        pos, probs = (np.concatenate([part[i] for part in parts])[order] for i in (0, 1))
+        st = stack([part[2] for part in parts])
+        states = Spectrum(st.eigenvalues[order], st.eigenvectors[order], st.floor[order])
+    labels = tuple(outcome_labels)
+    outcomes = tuple(str(labels[a]) for a in pos)
+    return SettingRecord(label=str(label), probabilities=probs, states=states, outcomes=outcomes)
 
 
 def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage:
@@ -210,8 +234,8 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
     multiplied once per setting by the stacked K_a^dag of the POVM factors
     (E_a = K_a K_a^dag).  Outcome a's rows G_a of that product, regrouped to
     d_B rows, give tr_A[(E_a (x) 1) rho_AB] = G_a G_a^dag + floor tr(E_a) I
-    (``_setting``), so a state of rank r conditions on d_B x k_a r matrices.
-    Outcomes keep their POVM labels.
+    (``_setting``), so a state of rank r conditions on d_B x k_a r matrices,
+    one stack for the outcomes of each rank k_a.  Outcomes keep their POVM labels.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     st = as_state(rho_ab, name="rho_AB")
@@ -223,13 +247,22 @@ def assemblage_from_state(rho_ab, dims: tuple[int, int], settings) -> Assemblage
     for label, povm in settings:
         if povm.dim != d_a:
             raise ValidationError(f"setting {label!r} acts on dimension {povm.dim}, Alice has {d_a}")
-        g = dagger(np.concatenate(povm.factors, axis=1)) @ f  # K^dag F for every outcome at once
-        ends = np.cumsum([k.shape[1] for k in povm.factors])[:-1]
-        blocks = (  # each outcome's rows of G, one (d_B, r) block per column of K side by side
-            (np.moveaxis(rows.reshape(-1, d_b, r), 0, 1).reshape(d_b, -1), st.floor * float(np.vdot(k, k).real))
-            for k, rows in zip(povm.factors, np.split(g, ends))
-        )
-        recs.append(_setting(label, povm.labels, blocks))
+        widths = np.array([k.shape[1] for k in povm.factors])
+        ends = np.cumsum(widths)
+        g = (dagger(np.concatenate(povm.factors, axis=1)) @ f).reshape(ends[-1], d_b, r)  # a (d_B, r) block per column
+        groups = []
+        for w in sorted(set(widths.tolist())):  # the outcomes of rank k_a = w: their blocks side by side, floors tr(E_a)
+            pos = np.flatnonzero(widths == w)
+            rows = g
+            if len(pos) < len(widths):  # (when every outcome has this rank, the rows are not copied)
+                rows = g[(ends[pos, None] - w + np.arange(w)).reshape(-1)]
+            blocks = rows.reshape(len(pos), w, d_b, r).transpose(0, 2, 1, 3).reshape(len(pos), d_b, w * r)
+            mu = np.zeros(len(pos))
+            if st.floor:  # floor tr(E_a), with tr(E_a) = ||K_a||_F^2
+                factors = np.stack([povm.factors[a] for a in pos]).reshape(len(pos), -1)
+                mu = st.floor * np.vecdot(factors, factors).real
+            groups.append((pos, blocks, mu))
+        recs.append(_setting(label, povm.labels, groups))
     return make_assemblage(recs, d_b)
 
 
@@ -254,7 +287,7 @@ class LHSModel:
 def assemblage_from_lhs(model: LHSModel) -> Assemblage:
     """A(a, X) = sum_lambda p(a|X,lambda) p(lambda) sigma_lambda; outcome a is labelled "a".
 
-    Each sigma_lambda goes through ``as_state``; each outcome's block is the ``_stacked`` factor of the weighted spectra.
+    Each sigma_lambda goes through ``as_state``; the outcomes' blocks are ``_mixture`` factors of the weighted spectra.
     """
     w = np.asarray(model.weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -267,6 +300,7 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
     d_b = sigmas[0].dim
     if any(st.dim != d_b for st in sigmas):
         raise ValidationError(f"local states differ in dimension: {[st.dim for st in sigmas]}")
+    sigmas = stack(sigmas)
     recs = []
     for label, resp in model.responses.items():
         r = np.asarray(resp, dtype=float)
@@ -277,13 +311,20 @@ def assemblage_from_lhs(model: LHSModel) -> Assemblage:
         col_dev = float(np.max(np.abs(r.sum(axis=0) - 1.0)))
         if not col_dev <= TOL.weight_sum:
             raise ValidationError(f"response columns for {label!r} sum to 1 +/- {col_dev:.3e}")
-        recs.append(_setting(label, map(str, range(len(r))), (_stacked(row * w, sigmas) for row in r)))
+        recs.append(_setting(label, map(str, range(len(r))), [(np.arange(len(r)), *_mixture(r * w, sigmas))]))
     return make_assemblage(recs, d_b)
 
 
 def _average(rec: SettingRecord, functional, h: np.ndarray):
-    """sum_a p(a|X) functional(rho_a, H): a float for one operator, an n x n matrix for a stack (n, d, d)."""
-    total = sum(p * functional(st, h) for p, st in zip(rec.probabilities, rec.states))
+    """sum_a p(a|X) functional(rho_a, H): a float for one operator, an n x n matrix for a stack (n, d, d).
+
+    The functional runs once, on the setting's stack.  The terms are weighted
+    in place, as a fresh copy of the n x n matrices costs more than the
+    product, and summed left to right.
+    """
+    values = functional(rec.states, h)
+    weights = rec.probabilities.reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    total = sum(np.multiply(weights, values, out=values if np.ndim(values) else None))
     return total if np.ndim(total) else float(total)
 
 

@@ -15,6 +15,7 @@ computed: GHZ qubits against ``states.MAX_STATE_BYTES``, and
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from .assemblage import (
 )
 from .linalg import TOL, NumericError, ValidationError
 from .metrology import POVM, povm_from_basis, qfi
-from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure
+from .pure import gellmann_basis, multi_generator_sum, optimal_povm_qfi, s_avg_pure, s_max_pure, schmidt
 from .states import (
     BipartitePureState,
     default_fock_cutoff,
@@ -73,8 +74,9 @@ def parallel_map(fn, items):
 # Measurement settings for the worked examples
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def qubit_basis_povm(axis: str) -> POVM:
-    """Projective qubit measurement along z, x or y."""
+    """Projective qubit measurement along z, x or y, built once per axis."""
     if axis == "z":
         basis = np.eye(2, dtype=complex)
     elif axis == "x":
@@ -135,8 +137,8 @@ def maximally_entangled_assemblage(d: int) -> tuple[Assemblage, BipartitePureSta
     for i in range(d):
         amps[i * d + i] = 1.0 / math.sqrt(d)
     state = BipartitePureState(dims=(d, d), amplitudes=amps)
-    basis = gellmann_basis(d)
-    settings = [(f"gen{i}", optimal_povm_qfi(state, g)) for i, g in enumerate(basis.generators)]
+    sd = schmidt(state)  # decomposed once, for every generator
+    settings = [(f"gen{i}", optimal_povm_qfi(sd, g)) for i, g in enumerate(gellmann_basis(d).generators)]
     return assemblage_from_pure_state(state, settings), state
 
 
@@ -209,12 +211,11 @@ def split_dicke_rows(n: int, k: int):
     rec = asm.setting("Jx")
     header = ["kind", "k_a", "p", "p_ref", "fq_cond", "fq_cond_ref"]
     rows = []
-    for label, p, st in zip(rec.outcomes, rec.probabilities, rec.states):
+    for label, p, fq in zip(rec.outcomes, rec.probabilities.tolist(), qfi(rec.states, jz_b).tolist()):
         k_a = int(label.split("=")[1])
-        fq = qfi(st, jz_b)
         p_ref = 2.0 / (n + 2.0) if twin else ""
         fq_ref = (2.0 * k_a * (n - 2.0 * k_a) + n) / 2.0 if twin else ""
-        rows.append(["outcome", k_a, float(p), p_ref, fq, fq_ref])
+        rows.append(["outcome", k_a, p, p_ref, fq, fq_ref])
     report = steering_witness(asm, jz_b)
     lo, hi = dicke_bounds(k, n_a, n_b)
     var_ref = (hi - lo + 2) * (hi - lo) / 12.0

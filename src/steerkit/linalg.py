@@ -8,7 +8,9 @@ row scaling, so it never becomes a d x d matrix.
 A ``Spectrum`` is the package's one state representation: r orthonormal
 columns with their eigenvalues, and a floor, the single eigenvalue of every
 direction outside them (zero for a state on its support, (1-p)/d for white
-noise of weight 1-p).
+noise of weight 1-p).  The states of one measurement setting are one stacked
+``Spectrum`` with a leading outcome axis (``stack``), so that they are
+conditioned, checked and evaluated in one array pass.
 All tolerances live in one policy record (``TOL``) so numeric contracts stay
 uniform and testable across the package.
 """
@@ -69,7 +71,8 @@ def as_complex_vector(vector, name: str = "vector") -> np.ndarray:
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
-    return matrix.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return matrix.conj().swapaxes(-1, -2)
 
 
 _ROW_BLOCK = 1 << 16  # entries per block of rows in ``max_abs_by_rows``
@@ -151,13 +154,17 @@ def require_state_vector(vector, name: str = "state vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Spectral form V diag(lam) V^dag + floor (I - V V^dag) of a Hermitian operator.
+    """Spectral form V diag(lam) V^dag + floor (I - V V^dag) of a Hermitian operator, or a stack of them.
 
     ``eigenvectors`` holds r <= d orthonormal columns matching
     ``eigenvalues`` (ascending when they come from ``hermitian_eig``); the
     ``floor`` mu is the one eigenvalue shared by the whole complement of
     those columns.  A state is stored this way above its floor: r = 1 and
     mu = 0 for a pure state, r = 1 and mu = (1-p)/d for p |psi><psi| + (1-p) I/d.
+
+    A stack of A states (``stack``) has eigenvalues (A, r), eigenvectors
+    (A, d, r) and floors (A,); a state of lower rank is padded with zero
+    columns at eigenvalue = floor, and indexing gives it back without them.
     """
 
     eigenvalues: np.ndarray
@@ -166,17 +173,59 @@ class Spectrum:
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.eigenvectors.shape[-2]
+
+    def __len__(self) -> int:
+        return len(self.floor)  # the states of a stack; one state's floor is a float
+
+    def __getitem__(self, a: int) -> "Spectrum":
+        """State a of a stack, without its padding."""
+        keep = self.eigenvalues[a] != self.floor[a]
+        return Spectrum(self.eigenvalues[a][keep], self.eigenvectors[a][:, keep], self.floor[a])
 
     def reconstruct(self) -> np.ndarray:
+        """The d x d matrix of one state."""
         v = self.eigenvectors
         out = (v * (self.eigenvalues - self.floor)) @ dagger(v)
         return out + self.floor * np.eye(self.dim) if self.floor else out
 
     def support(self) -> "Spectrum":
-        """The part with eigenvalues strictly above the floor."""
-        keep = self.eigenvalues > self.floor
-        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.floor)
+        """The part with eigenvalues strictly above the floor; of a stack, each state's part (``leading``)."""
+        keep = self.eigenvalues > np.asarray(self.floor)[..., None]
+        if keep.ndim == 1:
+            return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.floor)
+        if keep.all():  # no copy of a large stack
+            return self
+        return self.leading(keep, int(keep.sum(axis=1).max()))
+
+    def leading(self, keep: np.ndarray, k: int) -> "Spectrum":
+        """The stack of each state's first k columns where ``keep`` (A, r), in order, padded to k."""
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+        kept = np.take_along_axis(keep, order, axis=1)
+        mu = self.floor
+        lam = np.where(kept, np.take_along_axis(self.eigenvalues, order, axis=1), mu[:, None])
+        v = np.where(kept[:, None], np.take_along_axis(self.eigenvectors, order[:, None], axis=2), 0.0)
+        return Spectrum(lam, v, mu)
+
+
+def stack(spectra) -> Spectrum:
+    """The given spectra of one dimension, each one state or a stack, as one stack in order.
+
+    A state of lower rank than the widest is padded (see ``Spectrum``).
+    """
+    spectra = list(spectra)
+    floor = np.concatenate([np.reshape(s.floor, -1) for s in spectra]).astype(float)
+    r = max(s.eigenvalues.shape[-1] for s in spectra)
+    lam = np.repeat(floor[:, None], r, axis=1)
+    dtype = np.result_type(*(s.eigenvectors for s in spectra))
+    v = np.zeros((len(floor), spectra[0].dim, r), dtype=dtype)
+    a = 0
+    for s in spectra:
+        n, k = np.size(s.floor), s.eigenvalues.shape[-1]
+        lam[a : a + n, :k] = s.eigenvalues
+        v[a : a + n, :, :k] = s.eigenvectors
+        a += n
+    return Spectrum(lam, v, floor)
 
 
 def hermitian_eig(operator) -> Spectrum:
@@ -196,17 +245,18 @@ def hermitian_eig(operator) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def factor_spectrum(factor: np.ndarray, floor: float = 0.0) -> Spectrum:
-    """Spectrum of G G^dag + floor I above its floor, from the factor G.
+def factor_spectrum(factor: np.ndarray, floor=0.0) -> Spectrum:
+    """Spectrum of G G^dag + floor I above its floor, from the factor G, or of a stack (A, d, m) with floors (A,).
 
     A thin SVD of G when it has fewer columns than rows, else ``eigh`` of
     G G^dag: either way the work is set by the smaller side of G.
     """
-    if factor.shape[1] < factor.shape[0]:
+    mu = np.asarray(floor)[..., None]
+    if factor.shape[-1] < factor.shape[-2]:
         u, s, _ = np.linalg.svd(factor, full_matrices=False)
-        return Spectrum(s**2 + floor, u, floor).support()
-    spec = hermitian_eig(factor @ dagger(factor))
-    return Spectrum(spec.eigenvalues + floor, spec.eigenvectors, floor).support()
+        return Spectrum(s**2 + mu, u, floor).support()
+    vals, vecs = np.linalg.eigh(factor @ dagger(factor))
+    return Spectrum(vals + mu, vecs, floor).support()
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

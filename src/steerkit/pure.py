@@ -64,7 +64,9 @@ def schmidt(state: BipartitePureState) -> SchmidtDecomposition:
 
 
 def _completion(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal completion of the given orthonormal columns to their whole space."""
+    """Orthonormal completion of the given orthonormal columns to their whole space (none when they fill it)."""
+    if columns.shape[1] == columns.shape[0]:
+        return columns[:, :0]
     _, _, vh = np.linalg.svd(dagger(columns))
     return dagger(vh[columns.shape[1] :])
 
@@ -82,21 +84,22 @@ def _steering_basis(sd: SchmidtDecomposition, bob_vectors: np.ndarray) -> np.nda
     return np.concatenate([alice, rest], axis=1)
 
 
-def _support_generator(state: BipartitePureState, h) -> tuple[SchmidtDecomposition, np.ndarray, np.ndarray]:
+def _support_generator(state, h) -> tuple[SchmidtDecomposition, np.ndarray, np.ndarray]:
     """Schmidt data, the support spectrum p of rho_B, and H on that support (Schmidt basis).
 
-    H is a d_B x d_B matrix or its real diagonal."""
+    ``state`` is a pure state or its ``schmidt`` decomposition.  H is a
+    d_B x d_B matrix or its real diagonal."""
     op = require_hermitian(h, name="H")
-    if op.shape[0] != state.d_b:
-        raise ValidationError(f"H acts on dimension {op.shape[0]}, Bob has {state.d_b}")
-    sd = schmidt(state)
+    sd = state if isinstance(state, SchmidtDecomposition) else schmidt(state)
+    if op.shape[0] != sd.basis_b.shape[0]:
+        raise ValidationError(f"H acts on dimension {op.shape[0]}, Bob has {sd.basis_b.shape[0]}")
     b_support = sd.basis_b[:, : sd.rank]
     h_b = op[:, None] * b_support if op.ndim == 1 else op @ b_support
     return sd, sd.coefficients[: sd.rank], dagger(b_support) @ h_b
 
 
-def optimal_povm_qfi(state: BipartitePureState, h) -> POVM:
-    """Alice's projective measurement achieving the conditional QFI on a pure state.
+def optimal_povm_qfi(state, h) -> POVM:
+    """Alice's projective measurement achieving the conditional QFI on a pure state (or its ``schmidt`` data).
 
     Eigenvectors of X = sqrt(rho_B) H sqrt(rho_B) - <H> rho_B on the support
     are Fourier-combined so every steered conditional state has <H> equal to
@@ -246,7 +249,8 @@ def multi_generator_sum(assemblage: Assemblage, basis: GeneratorBasis) -> tuple[
     if basis.dim != assemblage.d_b:
         raise ValidationError(f"basis dimension {basis.dim} != Bob dimension {assemblage.d_b}")
     gens = np.stack(basis.generators)
-    best = np.max([np.diagonal(setting_average_qfi(rec, gens)) for rec in assemblage.settings], axis=0)
+    # each diagonal copied, so that no setting's n x n matrix outlives its own iteration
+    best = np.max([np.diagonal(setting_average_qfi(rec, gens)).copy() for rec in assemblage.settings], axis=0)
     return float(sum(best)), 4.0 * (basis.dim - 1)
 
 

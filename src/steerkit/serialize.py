@@ -10,6 +10,7 @@ two failure modes stay distinguishable.  Unknown keys are ignored.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -50,15 +51,41 @@ def pair_to_complex(value, path: str) -> complex:
     return complex(value[0], value[1])
 
 
+def _pairs(data, depth: int):
+    """The complex array of ``data``, lists ``depth`` deep of [re, im] pairs, in one flat pass over its numbers.
+
+    None when any entry is not a pair of finite numbers (a boolean, a
+    non-finite float, an integer past float range, a ragged list): the
+    caller's loop then names the first bad entry.
+    """
+    try:
+        values = np.array(data, dtype=float)
+        numbers = data
+        for _ in range(depth - 1):
+            numbers = itertools.chain.from_iterable(numbers)
+        exact = set(map(type, numbers)) <= {int, float}
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not exact or values.shape[depth - 1 :] != (2,) or not np.isfinite(values).all():
+        return None
+    return values.view(complex)[..., 0]
+
+
 def vector_from_json(data, path: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         _fail(path, "expected a nonempty list of [re, im] pairs")
+    fast = _pairs(data, 2)
+    if fast is not None:
+        return fast
     return np.array([pair_to_complex(v, f"{path}[{i}]") for i, v in enumerate(data)])
 
 
 def matrix_from_json(data, path: str) -> np.ndarray:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         _fail(path, "expected a list of rows")
+    fast = _pairs(data, 3)
+    if fast is not None:
+        return fast
     width = len(data[0])
     rows = []
     for i, row in enumerate(data):

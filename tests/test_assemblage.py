@@ -26,7 +26,7 @@ from steerkit.experiments import (
     split_dicke_assemblage,
     split_dicke_rows,
 )
-from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, factor_spectrum
+from steerkit.linalg import TOL, NumericError, Spectrum, ValidationError, factor_spectrum, stack
 from steerkit.metrology import as_state, make_povm, povm_from_basis, qfi, variance
 from steerkit.pure import optimal_assemblage, s_avg_pure, s_max_pure
 from steerkit.states import (
@@ -533,10 +533,11 @@ class TestErrorContracts:
             (lambda: assemblage_from_lhs(nan_lhs_model(weights=[NAN, 0.5])), "weights"),
             (lambda: assemblage_from_lhs(nan_lhs_model(response=[[NAN, 0.0], [0.0, 1.0]])), "response for 'X'"),
             (lambda: make_assemblage([SettingRecord("a", [1.0], (Spectrum(np.ones(1), np.array([[NAN], [0.0]])),)),
-                                      SettingRecord("b", [1.0], (np.array([1.0, 0.0]),))], 2), "marginal of 'b'"),
+                                      SettingRecord("b", [1.0], (np.array([1.0, 0.0]),))], 2),
+             "conditional state a/0 eigenvector 0 is not a finite unit vector"),
         ],
         ids=["povm_from_basis", "as_state_eigenvalue", "as_state_floor", "s_avg_pure", "s_max_pure",
-             "lhs_weight", "lhs_response", "no_signalling"],
+             "lhs_weight", "lhs_response", "make_assemblage_eigenvector"],
     )
     def test_nan_input_is_rejected_by_name(self, build, message):
         with pytest.raises(ValidationError, match=message):
@@ -638,6 +639,32 @@ class TestSpectra:
         assert abs(qfi(spec, h) - qfi(dense, h)) < 1e-12
         assert abs(variance(spec, h) - variance(dense, h)) < 1e-12
 
+    def test_each_mixed_block_diagonalised_once(self, rng, monkeypatch):
+        # each setting's outcomes are conditioned as one stack: one factor_spectrum call per setting
+        # (per effect rank), holding every outcome above the probability floor
+        import steerkit.assemblage as module
+
+        shapes = []
+        monkeypatch.setattr(module, "factor_spectrum", lambda g, mu=0.0: shapes.append(g.shape) or factor_spectrum(g, mu))
+        rho = random_floored_state(rng, 6, 3, 0.0)  # rank 3 over 2 x 3
+        unsharp = make_povm([np.diag([0.5, 0.2]), np.diag([0.5, 0.0]), np.diag([0.0, 0.8])], labels=["a", "b", "c"])
+        asm = assemblage_from_state(rho, (2, 3), [("z", qubit_basis_povm("z")), ("x", qubit_basis_povm("x")), ("u", unsharp)])
+        # z and x: 2 outcomes of K^dag F, 3 x 3 each (k_a = 1, r = 3); u: effect ranks 2, 1, 1, one stack per rank
+        assert shapes == [(2, 3, 3), (2, 3, 3), (2, 3, 3), (1, 3, 6)]
+        assert asm.setting("u").outcomes == ("a", "b", "c")
+
+    def test_functionals_called_once_per_setting(self, monkeypatch):
+        import steerkit.assemblage as module
+
+        calls = []
+        for name in ("qfi", "variance"):
+            true = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda st, h, true=true, name=name: calls.append(name) or true(st, h))
+        asm = split_dicke_assemblage(4, 4, 4)
+        steering_witness(asm, spin_ops(4).jz.diagonal().real)
+        # one stacked call per setting (Jz, Jx) and one on Bob's reduced state, for each functional
+        assert sorted(calls) == ["qfi"] * 3 + ["variance"] * 3
+
     def test_pure_ghz_witness_never_diagonalises_bob(self, monkeypatch):
         def small_only(fn):
             def guarded(a, *args, **kwargs):
@@ -691,7 +718,7 @@ class TestFloorConditioning:
         product = BipartitePureState(dims=(2, 2), amplitudes=np.array([1.0, 0.0, 0.0, 0.0]))  # |00>: z- has p = 0
         asm = assemblage_from_pure_state(product, [("z", qubit_basis_povm("z"))])
         assert asm.setting("z").outcomes == ("z+",)
-        assert shapes == [(2, 1)]
+        assert shapes == [(1, 2, 1)]  # one stacked SVD, of the one outcome left
 
     @pytest.mark.parametrize("kind", sorted(SETTINGS))
     def test_floored_state_matches_dense(self, rng, kind):
@@ -742,7 +769,7 @@ class TestNoSignallingCheck:
 
     @staticmethod
     def record(label, *states):
-        return SettingRecord(label, np.full(len(states), 1.0 / len(states)), states)
+        return SettingRecord(label, np.full(len(states), 1.0 / len(states)), stack(states))
 
     @staticmethod
     def dense_deviation(rec0, rec1):

@@ -75,6 +75,10 @@ INVALID_COMMANDS = {
     "witness_boolean_dims": ["witness", "{tmp}/bell_bool_dims.json", "--observable", "{tmp}/obs.json"],
     "witness_negative_dims": ["witness", "{tmp}/bell_negative_dims.json", "--observable", "{tmp}/obs.json"],
     "witness_boolean_d_b": ["witness", "{tmp}/asm_bool_d_b.json", "--observable", "{tmp}/obs_1.json"],
+    # witness documents with a complex number that is not a pair of finite numbers, or a ragged row
+    "witness_boolean_in_pair": ["witness", "{tmp}/asm.json", "--observable", "{tmp}/obs_bool.json"],
+    "witness_pair_of_three": ["witness", "{tmp}/bell_three.json", "--observable", "{tmp}/obs.json"],
+    "witness_ragged_rho_row": ["witness", "{tmp}/asm_ragged_rho.json", "--observable", "{tmp}/obs.json"],
 }
 OVER_LIMIT = {
     "ghz_over_qubit_limit": "MAX_STATE_BYTES",
@@ -110,6 +114,9 @@ WITNESS_ERRORS = {
     "witness_boolean_dims": "$.dims:",
     "witness_negative_dims": "$.dims:",
     "witness_boolean_d_b": "$.d_b:",
+    "witness_boolean_in_pair": "$.matrix[1][1]:",
+    "witness_pair_of_three": "$.amplitudes[2]:",
+    "witness_ragged_rho_row": "$.settings[1].outcomes[0].rho[1]: ragged row",
 }
 
 
@@ -132,7 +139,8 @@ def witness_files(tmp_path):
     of these: a NaN in bell_nan.json, asm_nan_p.json and asm_nan_rho.json;
     NaN, Infinity, 1e400, 10^400 or a 5,000-digit integer in obs_nan.json,
     obs_inf.json, obs_1e400.json, obs_int.json and obs_digits.json; sx
-    relabelled sz in asm_repeated_setting.json.  bell_bool_dims.json
+    relabelled sz in asm_repeated_setting.json; [true, 0] in obs_bool.json, a pair [0, 0, 0] in
+    bell_three.json and a row of one entry in asm_ragged_rho.json.  bell_bool_dims.json
     ([true, 2]), bell_negative_dims.json ([-1, -2]) and asm_bool_d_b.json
     (true, with the 1 x 1 observable obs_1.json) hold sizes that are not
     positive integers but match their two amplitudes or 1 x 1 rho.
@@ -149,6 +157,9 @@ def witness_files(tmp_path):
     save_json(with_value(asm, ("settings", 0, "outcomes", 0, "p"), nan), tmp_path / "asm_nan_p.json")
     save_json(with_value(asm, ("settings", 0, "outcomes", 0, "rho", 0, 0, 0), nan), tmp_path / "asm_nan_rho.json")
     save_json(with_value(asm, ("settings", 1, "label"), asm["settings"][0]["label"]), tmp_path / "asm_repeated_setting.json")
+    save_json({"matrix": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}, tmp_path / "obs_bool.json")
+    save_json(with_value(bell, ("amplitudes", 2), [0, 0, 0]), tmp_path / "bell_three.json")
+    save_json(with_value(asm, ("settings", 1, "outcomes", 0, "rho", 1), [[0.5, 0]]), tmp_path / "asm_ragged_rho.json")
     plus = {"type": "bipartite_pure_state", "amplitudes": [[0.5**0.5, 0], [0.5**0.5, 0]]}
     save_json({**plus, "dims": [True, 2]}, tmp_path / "bell_bool_dims.json")
     save_json({**plus, "dims": [-1, -2]}, tmp_path / "bell_negative_dims.json")

@@ -235,6 +235,17 @@ class TestRowTables:
         assert abs(spectrum[0] - 0.5) < 0.051
         assert abs(spectrum[1] - 0.5) < 0.051
 
+    def test_multigen_decomposes_each_state_once(self, monkeypatch):
+        # one Schmidt SVD per d, and one stacked conditioning SVD per setting: the optimal bases
+        # are complete, so no orthonormal completion needs one
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
+        multigen_rows([3, 4])
+        schmidt_calls = [shape for shape in calls if len(shape) == 2]
+        assert schmidt_calls == [(3, 3), (4, 4)]
+        assert sorted(shape for shape in calls if len(shape) == 3) == [(3, 3, 1)] * 8 + [(4, 4, 1)] * 15
+
     def test_multigen_rows(self):
         header, rows = multigen_rows([2, 3])
         for row in rows:

@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from steerkit.linalg import TOL, Spectrum, ValidationError, commutator
+from steerkit.linalg import TOL, Spectrum, ValidationError, commutator, stack
 from steerkit.assemblage import SettingRecord, setting_average_qfi, setting_average_variance
 from steerkit.metrology import as_state, expectation, make_povm, povm_from_basis, qfi, variance
 from steerkit.experiments import spin_x_setting
@@ -295,8 +296,8 @@ class TestFloor:
             gens = np.stack(gellmann_basis(d).generators)
             states = [random_floored_state(rng, d, r, floor) for r in range(1, d) for floor in (0.0, 1e-3, "min")]
             probs = rng.dirichlet(np.ones(len(states)))
-            floored = SettingRecord("x", probs, tuple(states))
-            dense = SettingRecord("x", probs, tuple(as_state(st.reconstruct()) for st in states))
+            floored = SettingRecord("x", probs, stack(states))
+            dense = SettingRecord("x", probs, stack([as_state(st.reconstruct()) for st in states]))
             for average in (setting_average_qfi, setting_average_variance):
                 got, ref = average(floored, gens), average(dense, gens)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
@@ -379,3 +380,133 @@ class TestDiagonalOperators:
         # a complex dtype with imaginary parts inside the Hermiticity tolerance is a real diagonal
         out = require_hermitian(np.array([1.0, 2.0 + 1e-13j, 0.0]))
         assert out.dtype == float and np.array_equal(out, [1.0, 2.0, 0.0])
+
+
+class TestStackedStates:
+    """The states of a stack are evaluated in one call, each bit for bit as on its own (``==``)."""
+
+    @staticmethod
+    def operators(rng, d):
+        """A dense observable, a real diagonal and a stack of three generators."""
+        return [random_hermitian(rng, d), rng.standard_normal(d), np.stack([random_hermitian(rng, d) for _ in range(3)])]
+
+    @staticmethod
+    def assert_one_at_a_time(states, ops):
+        for op in ops:
+            functionals = (qfi, variance) + ((expectation,) if np.ndim(op) < 3 else ())
+            for functional in functionals:
+                got = functional(states, op)
+                assert len(got) == len(states)
+                for a, st in enumerate(states):
+                    assert np.array_equal(got[a], functional(st, op)), (functional.__name__, a)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    def test_mixed_ranks(self, rng, floor):
+        d = 4
+        parts = [random_floored_state(rng, d, r, floor) for r in (1, 3, 2, 1, 3)]
+        states = stack(parts)
+        assert states.eigenvalues.shape == (5, 3) and states.eigenvectors.shape == (5, d, 3)
+        for a, part in enumerate(parts):  # indexing gives the state back without its padding
+            assert np.array_equal(states[a].eigenvalues, part.eigenvalues)
+            assert np.array_equal(states[a].eigenvectors, part.eigenvectors) and states[a].floor == part.floor
+        self.assert_one_at_a_time(states, self.operators(rng, d))
+
+    def test_full_rank_next_to_rank_one_keeps_each_complement(self, rng):
+        # padded to rank 3, the pure state still pairs its column with the complement, and the
+        # full-rank state gains no complement term
+        d = 3
+        pure, full = as_state(random_pure(rng, d)), as_state(random_density(rng, d))
+        states = stack([pure, full])
+        for op in self.operators(rng, d)[:2]:
+            got = qfi(states, op)
+            assert got[0] == qfi(pure, op) and got[1] == qfi(full, op)
+            assert close(got[0], 4.0 * variance(pure, op))
+            assert close(got[1], qfi(full.reconstruct(), op))
+        self.assert_one_at_a_time(states, self.operators(rng, d))
+
+    def test_setting_with_an_outcome_below_the_probability_floor(self, rng):
+        from steerkit.assemblage import assemblage_from_state
+
+        # Alice's outcome "b" never occurs: it is dropped, and the kept outcomes keep their labels
+        psi = np.zeros((3, 2), dtype=complex)
+        psi[0], psi[2] = random_pure(rng, 2) * 0.6, random_pure(rng, 2) * 0.8
+        rho = 0.9 * outer(psi.reshape(-1)) + 0.1 * np.eye(6) / 6.0
+        povm = povm_from_basis(np.eye(3), labels=["a", "b", "c"])
+        rec = assemblage_from_state(as_state(outer(psi.reshape(-1))), (3, 2), [("x", povm)]).settings[0]
+        assert rec.outcomes == ("a", "c") and rec.n_outcomes == 2
+        mixed = assemblage_from_state(rho, (3, 2), [("x", povm)]).settings[0]
+        assert mixed.outcomes == ("a", "b", "c")
+        for r in (rec, mixed):
+            self.assert_one_at_a_time(r.states, self.operators(rng, 2))
+            h = random_hermitian(rng, 2)
+            total = 0
+            for p, st in zip(r.probabilities, r.states):  # left to right, as ``setting_average_qfi`` sums
+                total = total + p * qfi(st, h)
+            assert setting_average_qfi(r, h) == total
+
+
+class TestEigenvectorCheck:
+    """``as_state`` takes a spectrum's columns off the floor as finite unit vectors, and names the state."""
+
+    BAD = {
+        "nan": (np.array([[np.nan], [0.0]]), "squared norm deviates from 1 by nan"),
+        "norm_2": (np.array([[2.0], [0.0]]), "squared norm deviates from 1 by 3.000e+00"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_as_state_rejects(self, case):
+        vectors, detail = self.BAD[case]
+        with pytest.raises(ValidationError, match=rf"rho eigenvector 0 is not a finite unit vector: {re.escape(detail)}"):
+            as_state(Spectrum(np.ones(1), vectors), name="rho")
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_make_assemblage_rejects_by_setting_and_outcome(self, case):
+        from steerkit.assemblage import make_assemblage
+
+        vectors, detail = self.BAD[case]
+        good = Spectrum(np.ones(1), np.array([[1.0], [0.0]], dtype=complex))
+        bad = Spectrum(np.ones(1), vectors.astype(complex))
+        rec = SettingRecord("z", np.array([0.5, 0.5]), (good, bad), ("z+", "z-"))
+        with pytest.raises(ValidationError, match=rf"conditional state z/z- eigenvector 0 .* {re.escape(detail)}"):
+            make_assemblage([rec], 2)
+
+    @pytest.mark.parametrize(
+        "eigenvectors", [np.array([[1.0], [0.0]]), np.array([1.0, 0.0])], ids=["one_column_for_two", "one_dimensional"]
+    )
+    def test_shape_mismatch_is_named(self, eigenvectors):
+        from steerkit.assemblage import make_assemblage
+
+        # without the check, stacking would broadcast the one column into both slots
+        good = Spectrum(np.ones(1), np.array([[1.0], [0.0]], dtype=complex))
+        bad = Spectrum(np.array([0.5, 0.5]) if eigenvectors.ndim == 2 else np.ones(1), eigenvectors.astype(complex))
+        rec = SettingRecord("z", np.array([0.5, 0.5]), (good, bad), ("z+", "z-"))
+        with pytest.raises(ValidationError, match=r"^conditional state z/z-: eigenvalues .* do not match"):
+            make_assemblage([rec], 2)
+        states = Spectrum(np.ones((2, 1)), np.zeros((2, 2, 2)), np.zeros(2))
+        with pytest.raises(ValidationError, match=r"^a to b: eigenvalues \(2, 1\), eigenvectors \(2, 2, 2\)"):
+            as_state(states, ["a", "b"])
+
+    def test_padding_is_left_out(self, rng):
+        states = stack([as_state(random_pure(rng, 3)), as_state(random_density(rng, 3))])
+        assert np.all(states.eigenvectors[0, :, 1:] == 0.0)  # the pure state's padding: zero columns at its floor
+        assert as_state(states, ["a", "b"]) is not None
+
+    def test_a_state_without_columns_is_named_by_its_first_failing_check(self):
+        # a state of rank 0 has no column to check; its trace (0.3 over d = 2) fails first
+        with pytest.raises(ValidationError, match=r"rho eigenvalues sum to 0\.600000000000, not 1"):
+            as_state(Spectrum(np.zeros(0), np.zeros((2, 0)), 0.3), name="rho")
+
+    def test_second_state_of_a_stack_is_named(self, rng):
+        bad = Spectrum(np.ones(1), np.array([[2.0], [0.0]], dtype=complex))
+        states = stack([as_state(random_pure(rng, 2)), bad])
+        with pytest.raises(ValidationError, match=r"^b eigenvector 0 is not a finite unit vector"):
+            as_state(states, ["a", "b"])
+        with pytest.raises(ValidationError, match=r"^rho\[1\] eigenvector 0"):
+            as_state(states, "rho")
+
+
+def test_expectation_takes_one_operator(rng):
+    # a stack of operators is for ``variance`` and ``qfi``; ``expectation`` rejects it as not 2-D
+    st = as_state(random_pure(rng, 2))
+    with pytest.raises(ValidationError, match="operator must be 2-D"):
+        expectation(st, np.stack([random_hermitian(rng, 2)] * 2))

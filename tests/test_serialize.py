@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from steerkit.serialize import (
     load_state,
     sample_run_to_json,
     state_from_json,
+    vector_from_json,
     witness_report_to_json,
 )
 from steerkit.states import BipartitePureState, ghz_state
@@ -61,6 +63,27 @@ class TestSchemaDiagnostics:
         doc = {"type": "density_matrix", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}
         with pytest.raises(SchemaError, match=r"matrix\[1\]"):
             density_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[True, 0], [0.5, False], [float("nan"), 0], [0, float("inf")], [10**400, 0], [0, 0, 0], [1], "x", ["1", 0], [None, 0]],
+        ids=["true", "false", "nan", "infinity", "integer_past_float_range", "three", "one", "string", "numeric_string", "null"],
+    )
+    def test_bad_pair_is_named_by_its_path(self, pair):
+        amplitudes = [[0.6, 0], [0, 0], pair, [0.8, 0]]
+        with pytest.raises(SchemaError, match=re.escape("$.amplitudes[2]: expected a complex number as [re, im] of finite numbers")):
+            state_from_json({"type": "bipartite_pure_state", "dims": [2, 2], "amplitudes": amplitudes})
+        rows = [[[0.5, 0], [0, 0]], [[0, 0], pair]]
+        with pytest.raises(SchemaError, match=re.escape("$.matrix[1][1]: expected a complex number")):
+            density_from_json({"type": "density_matrix", "matrix": rows})
+
+    def test_good_pairs_decode_exactly(self):
+        # integers and floats, negative zeros included, come back as complex(re, im)
+        pairs = [[1, 0], [-0.0, 2.5], [0.1, -0.0], [3, -4]]
+        got = vector_from_json(pairs, "$.v")
+        want = np.array([complex(re, im) for re, im in pairs])
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
     def test_invariant_violation_distinct_from_schema(self):
         # parses fine but trace != 1: must raise ValidationError, not SchemaError
