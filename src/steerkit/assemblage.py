@@ -108,40 +108,49 @@ class Assemblage:
         return factor_spectrum(*self.settings[0].factor())
 
 
-def _marginal_deviation(rec0: SettingRecord, rec1: SettingRecord, d_b: int) -> float:
-    """Deviation of D = (F_1 F_1^dag + mu_1 I) - (F_0 F_0^dag + mu_0 I) from 0, without forming D.
+def _marginal_deviations(recs, d_b: int):
+    """Deviation of each later setting's marginal from the first's, in order, without forming D.
 
-    F_X, mu_X are the records' ``factor``.  With k = k_0 + k_1 columns below
-    d_B, the QR [F_0, F_1] = Q [R_0, R_1] gives
+    For the first record's ``factor`` F_0, mu_0 and a later one's F_1, mu_1,
+    D = (F_1 F_1^dag + mu_1 I) - (F_0 F_0^dag + mu_0 I).  With k = k_0 + k_1
+    columns below d_B, the QR [F_0, F_1] = Q [R_0, R_1] gives
     ||D||_F^2 = ||R_1 R_1^dag - R_0 R_0^dag + delta I_k||_F^2 + delta^2 (d_B - k),
     delta = mu_1 - mu_0, in O(d_B k^2), with R taken one block of rows at a
     time (``qr_r_by_rows``).  The Frobenius norm bounds the max-abs entry
     from above, so when it is within ``TOL.no_signal`` it is returned.
     Otherwise, and whenever k >= d_B, the max-abs entry of D, one block of
     rows at a time, gives the verdict: either way a deviation is above the
-    tolerance exactly when D's max-abs entry is.
+    tolerance exactly when D's max-abs entry is.  F_0's width and floor are
+    read once, and all of F_0 is built once, by the first check that needs it.
     """
-    (f0, mu0), (f1, mu1) = rec0.factor(slice(0)), rec1.factor(slice(0))  # no rows: the widths and the floors
-    k0, k, delta = f0.shape[1], f0.shape[1] + f1.shape[1], mu1 - mu0
-    if k < d_b:
-        r = qr_r_by_rows(
-            lambda lo, hi: np.concatenate([rec0.factor(slice(lo, hi))[0], rec1.factor(slice(lo, hi))[0]], axis=1),
-            d_b,
-            k,
-        )
-        inside = r[:, k0:] @ dagger(r[:, k0:]) - r[:, :k0] @ dagger(r[:, :k0]) + delta * np.eye(k)
-        frob = float(np.sqrt(np.vdot(inside, inside).real + delta**2 * (d_b - k)))
-        if frob <= TOL.no_signal:
-            return frob
-    f0, f1 = rec0.factor()[0], rec1.factor()[0]
+    rec0 = recs[0]
+    head0, mu0 = rec0.factor(slice(0))  # no rows: the width and the floor
+    k0, f0 = head0.shape[1], None
+    for rec1 in recs[1:]:
+        head1, mu1 = rec1.factor(slice(0))
+        k, delta = k0 + head1.shape[1], mu1 - mu0
+        if k < d_b:
+            r = qr_r_by_rows(
+                lambda lo, hi: np.concatenate([rec0.factor(slice(lo, hi))[0], rec1.factor(slice(lo, hi))[0]], axis=1),
+                d_b,
+                k,
+            )
+            inside = r[:, k0:] @ dagger(r[:, k0:]) - r[:, :k0] @ dagger(r[:, :k0]) + delta * np.eye(k)
+            frob = float(np.sqrt(np.vdot(inside, inside).real + delta**2 * (d_b - k)))
+            if frob <= TOL.no_signal:
+                yield frob
+                continue
+        if f0 is None:
+            f0 = rec0.factor()[0]
+        f1 = rec1.factor()[0]
 
-    def rows(lo, hi):
-        diff = f1[lo:hi] @ dagger(f1) - f0[lo:hi] @ dagger(f0)
-        i = np.arange(hi - lo)
-        diff[i, lo + i] += delta
-        return diff
+        def rows(lo, hi):
+            diff = f1[lo:hi] @ dagger(f1) - f0[lo:hi] @ dagger(f0)
+            i = np.arange(hi - lo)
+            diff[i, lo + i] += delta
+            return diff
 
-    return max_abs_by_rows(rows, d_b, d_b)
+        yield max_abs_by_rows(rows, d_b, d_b)
 
 
 def make_assemblage(settings, d_b: int) -> Assemblage:
@@ -184,8 +193,7 @@ def make_assemblage(settings, d_b: int) -> Assemblage:
     out = Assemblage(d_b=int(d_b), settings=tuple(recs))
     if len(set(out.labels)) != len(recs):
         raise ValidationError(f"need one distinct label per setting, got {out.labels}")
-    for rec in recs[1:]:
-        dev = _marginal_deviation(recs[0], rec, out.d_b)
+    for rec, dev in zip(recs[1:], _marginal_deviations(recs, out.d_b)):
         if not dev <= TOL.no_signal:  # a NaN deviation fails too
             raise ValidationError(
                 f"no-signalling violated: marginal of {rec.label!r} deviates from "

@@ -14,9 +14,15 @@ command line, so ``--help`` and usage errors (exit 2) return without loading
 numpy, and each command imports the steerkit modules it calls: ``_table``, the
 one runner of the table commands, loads ``experiments`` and looks up the rows
 function its subcommand names there; ``witness`` loads neither ``experiments``
-nor ``sampling``.  A program that has imported
+nor ``sampling``; ``json`` is imported only to write JSON.  A program that has imported
 numpy already gains nothing from the deferral and gets every submodule loaded
 with this one.
+
+Exit: ``run``, the entry point of ``python -m steerkit.cli`` and of the
+``steerkit`` script, freezes the collector (``gc.freeze``) once ``main``
+returns or raises, so the collections at exit skip what the run left and the
+OS takes the heap back whole: ``__del__`` methods of objects in reference
+cycles do not run at exit.  ``main`` leaves the collector alone.
 
 BLAS threads: the paper's matrices are at most a few hundred wide, where a
 second BLAS thread only spins, so the command line runs with one BLAS/OpenMP
@@ -28,7 +34,7 @@ loaded, so it is left alone if numpy was imported first.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import os
 import sys
@@ -75,6 +81,8 @@ def write_csv(header, rows, out) -> None:
 
 
 def write_json_doc(doc, out) -> None:
+    import json
+
     _write(json.dumps(doc, default=float, indent=2) + "\n", out)
 
 
@@ -321,5 +329,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """``main`` on ``sys.argv`` as a process: exit with its code, the collector frozen (module docstring, "Exit")."""
+    try:
+        sys.exit(main())
+    finally:  # --help and usage errors (SystemExit) leave this way too
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

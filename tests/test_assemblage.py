@@ -797,7 +797,7 @@ class TestNoSignallingCheck:
 
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_single_entry_deviation_at_the_tolerance(self, monkeypatch, side):
-        from steerkit.assemblage import _marginal_deviation
+        from steerkit.assemblage import _marginal_deviations
 
         d, tol = 8, TOL.no_signal
         eps = tol * (1.0 - 1e-6 if side == "below" else 1.0 + 1e-6)
@@ -807,7 +807,7 @@ class TestNoSignallingCheck:
         ref = self.dense_deviation(rec0, rec1)
         if side == "below":
             self.blockwise_forbidden(monkeypatch)
-        dev = _marginal_deviation(rec0, rec1, d)
+        [dev] = _marginal_deviations([rec0, rec1], d)
         assert (dev > tol) == (ref > tol) == (side == "above")
         assert abs(dev - eps) < 1e-6 * eps
 
@@ -826,7 +826,7 @@ class TestNoSignallingCheck:
     def test_floor_only_deviation(self, rng, monkeypatch, scale):
         # the same columns with every eigenvalue and the floor raised by delta: D = delta I,
         # ||D||_F = delta sqrt(5): the QR accepts at 0.2 tol, the blockwise check at 0.9, and rejects at 1.1
-        from steerkit.assemblage import _marginal_deviation
+        from steerkit.assemblage import _marginal_deviations
 
         d, tol = 5, TOL.no_signal
         delta = scale * tol
@@ -834,7 +834,7 @@ class TestNoSignallingCheck:
         raised = Spectrum(base.eigenvalues + delta, base.eigenvectors, base.floor + delta)
         rec0, rec1 = self.record("a", base), self.record("b", raised)
         calls = self.count_blockwise(monkeypatch)
-        dev = _marginal_deviation(rec0, rec1, d)
+        [dev] = _marginal_deviations([rec0, rec1], d)
         assert (dev > tol) == (self.dense_deviation(rec0, rec1) > tol) == (scale > 1.0)
         if scale < 0.4:
             assert calls == [] and abs(dev - delta * math.sqrt(d)) < 1e-5 * dev
@@ -843,7 +843,7 @@ class TestNoSignallingCheck:
 
     def test_at_least_d_b_columns_go_straight_to_the_blockwise_check(self, rng, monkeypatch):
         import steerkit.assemblage as module
-        from steerkit.assemblage import _marginal_deviation
+        from steerkit.assemblage import _marginal_deviations
 
         def forbidden(*args):
             raise AssertionError("k >= d_B must not take the QR")
@@ -855,22 +855,22 @@ class TestNoSignallingCheck:
             # two full-rank outcomes per setting: k = 6 + 6 columns > d_B = 3
             rec0 = self.record("a", as_state(rho), as_state(rho))
             rec1 = self.record("b", as_state(other), as_state(other))
-            dev = _marginal_deviation(rec0, rec1, 3)
+            [dev] = _marginal_deviations([rec0, rec1], 3)
             assert abs(dev - self.dense_deviation(rec0, rec1)) < 1e-14
             assert (dev > TOL.no_signal) == (shift > 0)
         # k = 1 + 2 columns = d_B = 3
         rec0, rec1 = self.record("a", as_state(random_pure(rng, 3))), self.record("b", random_floored_state(rng, 3, 2, 0.0))
-        assert abs(_marginal_deviation(rec0, rec1, 3) - self.dense_deviation(rec0, rec1)) < 1e-14
+        assert abs(next(_marginal_deviations([rec0, rec1], 3)) - self.dense_deviation(rec0, rec1)) < 1e-14
 
     def test_rejected_deviation_is_reported_as_its_max_abs(self):
         # D = eps diag(1, -1, 0, ...): max |D_ij| = eps = 1.2 tol is reported, not ||D||_F = 1.7 tol
-        from steerkit.assemblage import _marginal_deviation
+        from steerkit.assemblage import _marginal_deviations
 
         d, eps = 6, 1.2 * TOL.no_signal
         cols = np.eye(d, 2, dtype=complex)
         rec0 = self.record("a", Spectrum(np.array([0.3, 0.3]), cols, 0.1))
         rec1 = self.record("b", Spectrum(np.array([0.3 + eps, 0.3 - eps]), cols, 0.1))
-        dev = _marginal_deviation(rec0, rec1, d)
+        [dev] = _marginal_deviations([rec0, rec1], d)
         assert abs(dev - eps) < 1e-6 * eps and abs(self.dense_deviation(rec0, rec1) - eps) < 1e-6 * eps
 
 

@@ -1,4 +1,7 @@
+import ast
+import gc
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -421,6 +424,13 @@ class TestGoldenFiles:
         assert golden.exists(), f"golden file {name} missing; regenerate with tests/golden/regen.py"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_golden_on_stdout_of_a_fresh_process(self, name):
+        # the exit path (``run``) leaves nothing unflushed: every byte reaches the pipe
+        proc = subprocess.run([sys.executable, "-m", "steerkit.cli", *CONFIGS[name], "--out", "-"], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / name).read_bytes()
+
     def test_diff_lists_moved_cells(self):
         old = "k,a,b\n0,1,2\n2,3,4\n"
         new = "k,a,b\n0,1,2.5\n2,3,4\n4,5,6\n"
@@ -473,6 +483,55 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_module_run_over_limit_is_2(self):
+        # --help (0) and a usage error (2) through ``python -m``: TestDeferredImports in test_package.py
+        proc = subprocess.run(
+            [sys.executable, "-m", "steerkit.cli", "ghz", "--n", "30", "--out", "-"], capture_output=True, text=True
+        )
+        assert proc.returncode == 2 and "MAX_STATE_BYTES" in proc.stderr
+
+    @pytest.mark.parametrize("outcome", [0, 2, 3, SystemExit(2), KeyboardInterrupt()], ids=repr)
+    def test_run_exits_with_mains_code_after_freezing(self, monkeypatch, outcome):
+        from steerkit import cli
+
+        events = []
+
+        def fake_main():
+            events.append("main")
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        with pytest.raises(type(outcome) if isinstance(outcome, BaseException) else SystemExit) as exc:
+            cli.run()
+        assert events == ["main", "freeze"]
+        if isinstance(outcome, int):
+            assert exc.value.code == outcome
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        # freezing in a long-lived process would keep every later cycle alive
+        before = gc.get_freeze_count()
+        assert run_cli(["ghz", "--n", "2", "--out", str(tmp_path / "o.csv")]) == 0
+        with pytest.raises(SystemExit):
+            run_cli(["--help"])
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_and_module_run_call_one_entry(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        from steerkit import cli
+
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        script = re.findall(r'^steerkit\s*=\s*"steerkit\.cli:(\w+)"\s*$', pyproject, re.M)
+        guards = [
+            node.body
+            for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert script == ["run"]
+        assert [[ast.unparse(statement) for statement in body] for body in guards] == [["run()"]]
 
     def test_runtime_imports_numpy_only(self):
         probe = "import sys, steerkit.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
